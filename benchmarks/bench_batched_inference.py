@@ -1,13 +1,13 @@
 """Batched DSE serving engine vs the per-sample loop (JSON-emitting).
 
 The acceptance gate of the batched inference engine: on a 1k-workload
-sweep the vectorised micro-batched path must (a) produce *identical*
+sweep the vectorised tiled path must (a) produce *identical*
 predictions to the per-sample loop and (b) beat it by >= 5x throughput.
 
 Run standalone to get a machine-readable record for the perf trajectory::
 
     PYTHONPATH=src python benchmarks/bench_batched_inference.py \
-        --samples 1000 --micro-batch 256 --output bench_batched.json
+        --samples 1000 --output bench_batched.json
 
 or under pytest-benchmark along with the other benches::
 
@@ -30,8 +30,8 @@ from repro.dse import DSEProblem
 SPEEDUP_TARGET = 5.0
 
 
-def run_bench(samples: int = 1000, micro_batch: int = 256,
-              seed: int = 0, loop_samples: int | None = None) -> dict:
+def run_bench(samples: int = 1000, seed: int = 0,
+              loop_samples: int | None = None) -> dict:
     """Time the per-sample loop vs the batched engine on one sweep.
 
     ``loop_samples`` caps how many rows the (slow) per-sample loop times;
@@ -53,8 +53,8 @@ def run_bench(samples: int = 1000, micro_batch: int = 256,
     loop_pe = np.concatenate([p for p, _ in parts])
     loop_l2 = np.concatenate([l for _, l in parts])
 
-    # Batched engine: vectorised micro-batches under no_grad.
-    engine = BatchedDSEPredictor(model, micro_batch_size=micro_batch)
+    # Batched engine: vectorised cache-sized tiles under no_grad.
+    engine = BatchedDSEPredictor(model)
     start = time.perf_counter()
     pe, l2 = engine.predict_indices(inputs)
     batched_elapsed = time.perf_counter() - start
@@ -65,7 +65,7 @@ def run_bench(samples: int = 1000, micro_batch: int = 256,
     batched_sps = samples / max(batched_elapsed, 1e-12)
     return {"samples": samples,
             "loop_samples_timed": loop_samples,
-            "micro_batch_size": micro_batch,
+            "tile_rows": model.tile_rows,
             "loop_elapsed_s": loop_elapsed,
             "batched_elapsed_s": batched_elapsed,
             "loop_samples_per_sec": loop_sps,
@@ -87,7 +87,6 @@ def test_batched_engine_beats_loop(benchmark):
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--samples", type=int, default=1000)
-    parser.add_argument("--micro-batch", type=int, default=256)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--loop-samples", type=int, default=None,
                         help="cap the rows timed by the per-sample loop")
@@ -95,8 +94,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="also write the JSON record to this path")
     args = parser.parse_args(argv)
 
-    result = run_bench(samples=args.samples, micro_batch=args.micro_batch,
-                       seed=args.seed, loop_samples=args.loop_samples)
+    result = run_bench(samples=args.samples, seed=args.seed,
+                       loop_samples=args.loop_samples)
     text = json.dumps(result, indent=2)
     print(text)
     if args.output:

@@ -5,7 +5,7 @@ Four gates, one per serving-subsystem promise:
 
 * **Batcher speedup** — with N concurrent clients issuing
   single-workload requests, the dynamic batcher (which coalesces them
-  into engine micro-batches) must deliver >= 3x the throughput of the
+  into engine batches) must deliver >= 3x the throughput of the
   unbatched path (one engine forward pass per request), with predictions
   bit-identical to :class:`repro.core.DSEPredictor`.
 * **Sustained-load SLO** — a client fleet hammering the asyncio HTTP
@@ -117,10 +117,9 @@ def run_bench(clients: int = 16, requests_per_client: int = 64,
         clients, requests_per_client, inputs,
         lambda row: tuple(int(x[0]) for x in reference.predict_indices(row)))
 
-    # Dynamic batcher: the same fleet, requests coalesced into micro-batches.
+    # Dynamic batcher: the same fleet, requests coalesced into batches.
     stats = ServingStats()
-    engine = BatchedDSEPredictor(model, micro_batch_size=1024,
-                                 on_batch=stats.record_forward)
+    engine = BatchedDSEPredictor(model, on_batch=stats.record_forward)
     with DynamicBatcher(engine, max_batch_size=max_batch_size,
                         max_wait_ms=max_wait_ms, stats=stats,
                         start=True) as batcher:
@@ -183,8 +182,7 @@ def run_obs_overhead(clients: int = 16, requests_per_client: int = 64,
     elapsed_total = 0.0
 
     stats = ServingStats()
-    engine = BatchedDSEPredictor(model, micro_batch_size=1024,
-                                 on_batch=stats.record_forward)
+    engine = BatchedDSEPredictor(model, on_batch=stats.record_forward)
     with DynamicBatcher(engine, max_batch_size=max_batch_size,
                         max_wait_ms=max_wait_ms, stats=stats,
                         start=True) as batcher:

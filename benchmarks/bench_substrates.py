@@ -49,7 +49,7 @@ def test_v2_inference_throughput(benchmark, problem):
     rng = np.random.default_rng(2)
     model = AirchitectV2(ModelConfig(d_model=32, n_layers=2, n_heads=4,
                                      embed_dim=16), problem, rng)
-    engine = BatchedDSEPredictor(model, micro_batch_size=256)
+    engine = BatchedDSEPredictor(model)
     inputs = problem.sample_inputs(1024, rng)
 
     pe, l2 = benchmark(engine.predict_indices, inputs)

@@ -10,7 +10,7 @@ Examples::
 
     # Batched one-shot DSE serving (trains/loads the model once, cached):
     python -m repro predict --batch --random 1000 --json
-    python -m repro predict --batch --input layers.csv --micro-batch 512
+    python -m repro predict --batch --input layers.csv
 
     # HTTP serving with dynamic batching and a persistent oracle cache:
     python -m repro serve --port 8080 --max-batch-size 64 --max-wait-ms 2 \\
@@ -46,6 +46,7 @@ import argparse
 import json
 import signal
 import sys
+import threading
 import time
 
 import numpy as np
@@ -197,16 +198,12 @@ def predict_main(argv: list[str] | None = None) -> int:
                         help="sweep N random Table-I workloads instead")
     parser.add_argument("--batch", action="store_true",
                         help="use the batched inference engine (vectorised "
-                             "micro-batches) instead of the per-sample loop")
-    parser.add_argument("--micro-batch", type=int, default=1024,
-                        help="rows per forward pass in batched mode "
-                             "(default 1024)")
+                             "cache-sized tiles) instead of the per-sample "
+                             "loop")
     _add_model_args(parser)
     parser.add_argument("--json", action="store_true",
                         help="emit a JSON document instead of a table")
     args = parser.parse_args(argv)
-    if args.micro_batch < 1:
-        parser.error("--micro-batch must be >= 1")
     if args.random is not None and args.random < 1:
         parser.error("--random must be >= 1")
     _check_model_args(parser, args)
@@ -251,8 +248,7 @@ def predict_main(argv: list[str] | None = None) -> int:
 
     start = time.perf_counter()
     if args.batch:
-        engine = BatchedDSEPredictor(model, micro_batch_size=args.micro_batch)
-        pe_idx, l2_idx = engine.predict_indices(inputs)
+        pe_idx, l2_idx = BatchedDSEPredictor(model).predict_indices(inputs)
     else:
         predictor = DSEPredictor(model)
         parts = [predictor.predict_indices(row) for row in inputs]
@@ -263,7 +259,6 @@ def predict_main(argv: list[str] | None = None) -> int:
 
     summary = {"samples": len(inputs),
                "mode": "batched" if args.batch else "per-sample",
-               "micro_batch_size": args.micro_batch if args.batch else 1,
                "elapsed_s": elapsed,
                "samples_per_sec": len(inputs) / max(elapsed, 1e-12)}
     if args.json:
@@ -463,6 +458,28 @@ def train_main(argv: list[str] | None = None) -> int:
     return 0
 
 
+def _retain_freed_heap() -> None:
+    """Keep freed heap memory in the process for the next inference tile.
+
+    glibc's adaptive thresholds follow the largest block freed so far:
+    once a tile's ~1 MiB temporaries come from the heap, its top is
+    handed back to the OS whenever ~2 MiB of it is free, which the
+    temporaries cross every layer.  A sweep thus re-faulted ~20 zeroed
+    pages per row of the ``small`` model, about a quarter of its
+    forward time.  Fixed thresholds serve blocks up to 32 MiB from the
+    heap and trim only above 64 MiB free.  A no-op where the C library
+    has no ``mallopt``.
+    """
+    import ctypes
+    m_trim_threshold, m_mmap_threshold = -1, -3
+    try:
+        libc = ctypes.CDLL(None)
+        libc.mallopt(m_mmap_threshold, 32 << 20)
+        libc.mallopt(m_trim_threshold, 64 << 20)
+    except (OSError, AttributeError):
+        pass
+
+
 def serve_main(argv: list[str] | None = None) -> int:
     """``repro serve``: the dynamic-batching HTTP serving front-end."""
     from .dse import ExhaustiveOracle
@@ -486,8 +503,6 @@ def serve_main(argv: list[str] | None = None) -> int:
     parser.add_argument("--max-wait-ms", type=float, default=2.0,
                         help="flush a partial batch this long after its "
                              "first request (default 2.0)")
-    parser.add_argument("--micro-batch", type=int, default=1024,
-                        help="engine rows per forward pass (default 1024)")
     parser.add_argument("--oracle-cache", metavar="FILE", default=None,
                         help="persistent oracle label-cache snapshot: loaded "
                              "at startup (fingerprint-checked), saved on "
@@ -556,6 +571,7 @@ def serve_main(argv: list[str] | None = None) -> int:
         parser.error("--shard-timeout must be > 0")
     _check_model_args(parser, args, require_model_id=False)
 
+    _retain_freed_heap()
     problem = get_problem()
     oracle = ExhaustiveOracle(problem)
     cache = PersistentOracleCache(args.oracle_cache) \
@@ -568,8 +584,7 @@ def serve_main(argv: list[str] | None = None) -> int:
 
     common = dict(host=args.host, port=args.port,
                   max_batch_size=args.max_batch_size,
-                  max_wait_ms=args.max_wait_ms,
-                  micro_batch_size=args.micro_batch, oracle=oracle,
+                  max_wait_ms=args.max_wait_ms, oracle=oracle,
                   max_models=args.max_models,
                   sweep_workers=args.sweep_workers,
                   max_queue=args.max_queue,
@@ -603,29 +618,33 @@ def serve_main(argv: list[str] | None = None) -> int:
         return 2
     host, port = server.address
     front_end = "asyncio" if args.use_async else "threaded"
-    # Orchestrators stop containers with SIGTERM; route it through the
-    # same graceful-drain path as Ctrl-C so in-flight requests finish
-    # and the oracle cache still snapshots.  Installed before the ready
-    # banner so a supervisor reacting to the banner can't race us.
-    def _on_sigterm(signum, frame):
-        raise KeyboardInterrupt
-
+    # Ctrl-C and SIGTERM (how orchestrators stop containers) only raise
+    # a flag; this thread then drains through server.shutdown(), so
+    # in-flight requests finish and the oracle cache still snapshots.
+    # A handler that raised instead could unwind any frame — including
+    # a batcher thread's start() — mid-way.
+    stop = threading.Event()
+    previous = {}
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        try:
+            previous[signum] = signal.signal(signum,
+                                             lambda *_: stop.set())
+        except (ValueError, OSError):   # non-main thread / odd platform
+            pass
     try:
-        signal.signal(signal.SIGTERM, _on_sigterm)
-    except (ValueError, OSError):       # non-main thread / odd platform
-        pass
-    try:
-        # The ready banner lives inside the drain guard: a SIGTERM sent
-        # the instant it appears must still take the graceful path.
+        # Routes and transport are up before the ready banner, so a
+        # client (or signal) reacting to it finds a running server.
+        server.start()
         print(f"serving one-shot DSE predictions on http://{host}:{port} "
               f"({front_end} front-end, max_batch_size={args.max_batch_size}, "
               f"max_wait_ms={args.max_wait_ms:g}); Ctrl-C to stop",
               file=sys.stderr)
-        server.serve_forever()
-    except KeyboardInterrupt:
+        stop.wait()
         print("shutting down", file=sys.stderr)
     finally:
         server.shutdown()
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)
         if cache is not None:
             saved = cache.save(server.oracle)
             print(f"oracle cache: saved {saved} entries to {cache.path}",

@@ -5,12 +5,12 @@ samples whose predicted design point matches the oracle optimum.  We report
 it per head and jointly, plus two relaxed diagnostics (bucket-level match
 and latency regret) that the ablation benches use.
 
-Serving happens through two predictors sharing one decode path
-(:meth:`AirchitectV2.decode_logits`):
+Serving happens through two predictors sharing one forward and decode
+path (:meth:`AirchitectV2.predict_indices`):
 
 * :class:`DSEPredictor` — the simple per-call API;
 * :class:`BatchedDSEPredictor` — the batched engine: one vectorised
-  encoder→heads pass per micro-batch under ``no_grad``, plus an optional
+  encoder→decoder pass per model tile under ``no_grad``, plus an optional
   cost-annotated sweep.  Predictions are identical to the per-sample path
   by construction; only the throughput differs.
 """
@@ -83,11 +83,9 @@ def evaluate_predictions(problem: DSEProblem, dataset: DSEDataset,
 
 def evaluate_model(model: AirchitectV2, dataset: DSEDataset,
                    oracle: ExhaustiveOracle | None = None,
-                   compute_regret: bool = True,
-                   micro_batch_size: int = 1024) -> PredictionMetrics:
+                   compute_regret: bool = True) -> PredictionMetrics:
     """Run one-shot inference on a dataset (batched engine) and score it."""
-    engine = BatchedDSEPredictor(model, micro_batch_size=micro_batch_size)
-    pe_pred, l2_pred = engine.predict_indices(dataset.inputs)
+    pe_pred, l2_pred = BatchedDSEPredictor(model).predict_indices(dataset.inputs)
     return evaluate_predictions(model.problem, dataset, pe_pred, l2_pred,
                                 pe_codec=model.pe_codec, l2_codec=model.l2_codec,
                                 oracle=oracle, compute_regret=compute_regret)
@@ -146,56 +144,58 @@ class BatchPrediction:
 class BatchedDSEPredictor:
     """Batched one-shot DSE serving engine.
 
-    Runs the full encoder→heads pipeline over arbitrary-size workload
-    batches in vectorised micro-batches under ``no_grad``.  Decoding goes
-    through :meth:`AirchitectV2.decode_logits` — the same code the
-    per-sample :class:`DSEPredictor` uses — so predictions are identical
-    to the per-sample loop; only the throughput differs (see
+    Runs the full encoder→decoder pipeline over arbitrary-size workload
+    batches, one vectorised forward pass per model tile under
+    ``no_grad``.  Each pass goes through
+    :meth:`AirchitectV2.predict_indices` — the same code the per-sample
+    :class:`DSEPredictor` uses, and a row's logits do not depend on the
+    rows it shares a pass with — so predictions are identical to the
+    per-sample loop; only the throughput differs (see
     ``benchmarks/bench_batched_inference.py``).
+
+    The model sets the rows per pass (:attr:`AirchitectV2.tile_rows`)
+    from a byte budget rather than a row count, so a pass's temporaries
+    fit in a core's L2 whatever the model's width.  Bigger passes are
+    not better on CPU: a 1024-row pass of the ``small`` model makes each
+    temporary a fresh ~6 MB array, faults ~18k pages back in from the OS
+    and costs ~185 us per row.  Its 170-row tiles cost ~125 us per row,
+    and ~95 us in a process that keeps its freed heap (``repro serve``
+    does), where they fault no pages at all (2-core x86-64, OpenBLAS).
 
     Parameters
     ----------
     model:
-        A (trained) :class:`AirchitectV2`.
-    micro_batch_size:
-        Rows per forward pass.  Larger batches amortise per-call overhead
-        but peak-allocate ``O(micro_batch * seq_len * d_model)`` floats;
-        1024 is a good default on CPU.
+        A (trained) :class:`AirchitectV2`.  Models without ``tile_rows``
+        (the baselines, which chunk internally) get one pass per call.
     on_batch:
         Optional ``callback(rows, elapsed_s)`` invoked after every
-        completed forward pass (one call per micro-batch).  The serving
-        layer hangs its throughput accounting off this hook
+        completed forward pass (one call per tile).  The serving layer
+        hangs its throughput accounting off this hook
         (:meth:`repro.serving.ServingStats.record_forward`).
     """
 
-    def __init__(self, model: AirchitectV2, micro_batch_size: int = 1024,
-                 on_batch=None):
-        if micro_batch_size < 1:
-            raise ValueError("micro_batch_size must be >= 1")
+    def __init__(self, model: AirchitectV2, on_batch=None):
         self.model = model
         self.problem = model.problem
-        self.micro_batch_size = micro_batch_size
         self.on_batch = on_batch
         self._default_oracle: ExhaustiveOracle | None = None
 
     # ------------------------------------------------------------------
     def predict_indices(self, inputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorised one-shot DSE over pre-built (batch, 4) input tuples."""
+        """Vectorised one-shot DSE over pre-built (batch, 4) input tuples.
+
+        Every forward pass reports to the ``on_batch`` hook and to the
+        active traces.
+        """
         contexts = current_engine_contexts()
-        if self.on_batch is None and not contexts:
-            return self.model.predict_indices(inputs,
-                                              batch_size=self.micro_batch_size)
-        # Micro-batch here so every forward pass reports to the hook and
-        # the active traces; chunking per row range is deterministic, so
-        # predictions are unchanged from the single delegated call above.
         inputs = np.atleast_2d(np.asarray(inputs))
         pe_out = np.empty(len(inputs), dtype=np.int64)
         l2_out = np.empty(len(inputs), dtype=np.int64)
-        for start in range(0, len(inputs), self.micro_batch_size):
-            chunk = inputs[start:start + self.micro_batch_size]
+        step = getattr(self.model, "tile_rows", None) or max(len(inputs), 1)
+        for start in range(0, len(inputs), step):
+            chunk = inputs[start:start + step]
             tick = time.perf_counter()
-            pe, l2 = self.model.predict_indices(chunk,
-                                                batch_size=self.micro_batch_size)
+            pe, l2 = self.model.predict_indices(chunk)
             elapsed = time.perf_counter() - tick
             if self.on_batch is not None:
                 self.on_batch(len(chunk), elapsed)

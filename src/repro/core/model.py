@@ -37,6 +37,12 @@ __all__ = ["ModelConfig", "AirchitectEncoder", "AirchitectDecoder",
 
 HEAD_STYLES = ("uov", "classification", "joint", "regression")
 
+#: Byte budget of an inference tile's widest activation: about half of a
+#: common 2 MiB per-core L2, so a tile's temporaries are reused from cache
+#: instead of each being a fresh multi-megabyte array (page faults, DRAM
+#: traffic).  Sizing by bytes rather than rows keeps wide models safe.
+TILE_BYTES = 1 << 20
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -141,6 +147,7 @@ class AirchitectDecoder(nn.Module):
         else:  # joint: a single 768-way head (the v1 label encoding)
             out_pe, out_l2 = n_pe * n_l2, 0
 
+        self.out_features = (out_pe, out_l2)
         self.pe_head = _OutputHead(flat_dim, config.head_hidden, out_pe, rng)
         self.l2_head = (_OutputHead(flat_dim, config.head_hidden, out_l2, rng)
                         if out_l2 else None)
@@ -196,9 +203,8 @@ class AirchitectV2(nn.Module):
     def decode_logits(self, pe_logits, l2_logits) -> tuple[np.ndarray, np.ndarray]:
         """Head logits (as returned by :meth:`forward`) -> choice indices.
 
-        The single decode path shared by :meth:`predict_indices` and the
-        batched serving engine (:class:`repro.core.BatchedDSEPredictor`),
-        so the two are identical by construction.
+        The single decode path of :meth:`predict_indices`, which the
+        per-sample and batched predictors both go through.
         """
         space = self.problem.space
         style = self.config.head_style
@@ -219,22 +225,44 @@ class AirchitectV2(nn.Module):
         return (np.asarray(pe, dtype=np.int64),
                 np.asarray(l2, dtype=np.int64))
 
-    def predict_indices(self, inputs: np.ndarray,
-                        batch_size: int = 1024) -> tuple[np.ndarray, np.ndarray]:
-        """One-shot DSE: inputs -> (pe_idx, l2_idx) design-choice indices."""
+    @property
+    def tile_rows(self) -> int:
+        """Rows per inference tile: as many as keep the widest per-row
+        activation (an FFN hidden layer over all tokens, or a head's
+        logits) of float64s within :data:`TILE_BYTES`."""
+        widest = max(self.config.seq_len * self.decoder.blocks.ffn_dim,
+                     self.config.head_hidden, *self.decoder.out_features)
+        return max(1, TILE_BYTES // (8 * widest))
+
+    def _tiles(self, n: int):
+        """Row slices covering ``range(n)``, one per inference tile."""
+        step = self.tile_rows
+        return (slice(s, min(s + step, n)) for s in range(0, n, step))
+
+    def tile_logits(self, inputs: np.ndarray):
+        """Yield ``(rows, pe_logits, l2_logits)`` per inference tile.
+
+        ``rows`` is the slice of ``inputs`` the tile covers.  Each tile
+        runs encoder -> decoder under ``no_grad``; a row's logits do not
+        depend on the tile it lands in.
+        """
         self.eval()
+        inputs = np.atleast_2d(np.asarray(inputs))
+        for rows in self._tiles(len(inputs)):
+            with nn.no_grad():
+                pe_logits, l2_logits = self.decoder(self.embed(inputs[rows]))
+            yield rows, pe_logits, l2_logits
+
+    def predict_indices(self, inputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """One-shot DSE: inputs -> (pe_idx, l2_idx) design-choice indices."""
         inputs = np.atleast_2d(np.asarray(inputs))
         pe_out = np.empty(len(inputs), dtype=np.int64)
         l2_out = np.empty(len(inputs), dtype=np.int64)
-        with nn.no_grad():
-            for start in range(0, len(inputs), batch_size):
-                chunk = inputs[start:start + batch_size]
-                _, _, (pe_logits, l2_logits) = self.forward(chunk)
-                sl = slice(start, start + len(chunk))
-                pe_out[sl], l2_out[sl] = self.decode_logits(pe_logits, l2_logits)
+        for rows, pe_logits, l2_logits in self.tile_logits(inputs):
+            pe_out[rows], l2_out[rows] = self.decode_logits(pe_logits, l2_logits)
         return pe_out, l2_out
 
-    def predict_performance(self, inputs: np.ndarray, batch_size: int = 1024,
+    def predict_performance(self, inputs: np.ndarray,
                             denormalise: bool = True) -> np.ndarray:
         """Performance-head predictions for raw input tuples.
 
@@ -247,10 +275,8 @@ class AirchitectV2(nn.Module):
         inputs = np.atleast_2d(np.asarray(inputs))
         out = np.empty(len(inputs), dtype=np.float64)
         with nn.no_grad():
-            for start in range(0, len(inputs), batch_size):
-                chunk = inputs[start:start + batch_size]
-                pred = self.perf_head(self.embed(chunk)).numpy()
-                out[start:start + len(chunk)] = pred
+            for rows in self._tiles(len(inputs)):
+                out[rows] = self.perf_head(self.embed(inputs[rows])).numpy()
         if denormalise:
             out = np.exp(out * float(self.perf_std) + float(self.perf_mean))
         return out

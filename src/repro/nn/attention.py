@@ -158,6 +158,7 @@ class TransformerStack(Module):
     def __init__(self, num_layers: int, dim: int, num_heads: int,
                  rng: np.random.Generator, ffn_mult: int = 4, dropout: float = 0.0):
         super().__init__()
+        self.ffn_dim = ffn_mult * dim
         self.blocks = ModuleList([
             TransformerBlock(dim, num_heads, rng, ffn_mult=ffn_mult, dropout=dropout)
             for _ in range(num_layers)

@@ -38,7 +38,7 @@ import math
 import numpy as np
 
 from .switches import Switch
-from .tensor import Tensor, _unbroadcast
+from .tensor import Tensor, _unbroadcast, records
 
 __all__ = ["fused_enabled", "fused_kernels", "linear", "gelu", "layer_norm",
            "softmax", "log_softmax", "normalize", "matmul", "scaled_matmul",
@@ -66,10 +66,38 @@ def fused_kernels(enabled: bool = True):
     return _FUSED(enabled)
 
 
+def _row_invariant_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """2-D ``a @ b`` whose rows do not depend on how many rows share it.
+
+    OpenBLAS runs a one-row product as GEMV, and products narrower than
+    8 columns (or with a ragged last 8-column block) through kernels
+    whose summation order shifts with the row count; either way a row's
+    result would change with its batch.  Padding to at least two rows
+    and whole 8-column blocks keeps every call on the GEMM path, whose
+    rows are computed independently.
+    """
+    m, n = a.shape[0], b.shape[1]
+    if m == 1:
+        a = np.concatenate((a, a))
+    if n % 8:
+        b = np.concatenate((b, np.zeros((b.shape[0], -n % 8))), axis=1)
+    out = a @ b
+    return out if out.shape == (m, n) else out[:m, :n]
+
+
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None) -> Tensor:
-    """``x @ W + b`` as one node (composed: matmul + broadcast add)."""
+    """``x @ W + b`` as one node (composed: matmul + broadcast add).
+
+    The forward is one 2-D GEMM over the collapsed leading dims (bitwise
+    the batched product, which numpy would issue as one BLAS call per
+    sample).  Ops that no backward can reach use the row-invariant
+    product, so an inference row's output is the same alone or batched.
+    """
     xd, wd = x.data, weight.data
-    out = xd @ wd
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    rows = xd.reshape(-1, xd.shape[-1])
+    out = rows @ wd if records(parents) else _row_invariant_matmul(rows, wd)
+    out = out.reshape(xd.shape[:-1] + (wd.shape[-1],))
     if bias is not None:
         np.add(out, bias.data, out=out)
 
@@ -85,7 +113,6 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None) -> Tensor:
             weight._accumulate_owned(_unbroadcast(np.swapaxes(xd, -1, -2) @ g,
                                                   wd.shape))
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
     return Tensor._make(out, parents, backward, "fused.linear")
 
 
@@ -93,8 +120,23 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Tanh-approximation GELU as one node (composed: 9 elementwise nodes)."""
+    """Tanh-approximation GELU as one node (composed: 9 elementwise nodes).
+
+    When no backward can run, the same expressions run in the same order
+    in place in one owned buffer, so the bits match.
+    """
     xd = x.data
+    if not records((x,)):
+        out = xd * xd
+        np.multiply(out, xd, out=out)
+        np.multiply(out, 0.044715, out=out)
+        np.add(xd, out, out=out)
+        np.multiply(out, _GELU_C, out=out)
+        np.tanh(out, out=out)
+        np.add(out, 1.0, out=out)
+        np.multiply(xd, out, out=out)
+        np.multiply(out, 0.5, out=out)
+        return Tensor._make(out, (x,), None, "fused.gelu")
     x2 = xd * xd
     t = np.tanh((xd + (x2 * xd) * 0.044715) * _GELU_C)
     tp = t + 1.0
@@ -124,10 +166,22 @@ def gelu(x: Tensor) -> Tensor:
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
-    """Last-axis layer norm as one node (composed: ~10 nodes)."""
+    """Last-axis layer norm as one node (composed: ~10 nodes).
+
+    When no backward can run, the centred input is normalised, scaled
+    and shifted in place: one owned buffer plus the squares' temporary.
+    """
     xd, gd = x.data, gamma.data
     inv = 1.0 / xd.shape[-1]
     mean = xd.sum(axis=-1, keepdims=True) * inv
+    if not records((x, gamma, beta)):
+        out = xd - mean
+        var = (out * out).sum(axis=-1, keepdims=True) * inv
+        np.divide(out, np.sqrt(var + eps), out=out)
+        np.multiply(out, gd, out=out)
+        np.add(out, beta.data, out=out)
+        return Tensor._make(out, (x, gamma, beta), None, "fused.layer_norm",
+                            {"eps": eps})
     centred = xd - mean
     sq = centred * centred
     var = sq.sum(axis=-1, keepdims=True) * inv

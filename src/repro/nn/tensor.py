@@ -71,6 +71,17 @@ def is_grad_enabled() -> bool:
     return _GRAD_ENABLED[-1]
 
 
+def records(parents: Sequence["Tensor"]) -> bool:
+    """Whether :meth:`Tensor._make` will record an op over ``parents``.
+
+    True when the op joins the autograd graph or an active graph tracer
+    sees it.  Kernels use this to skip saving backward intermediates
+    (and to work in place) when no backward or replay can ever run.
+    """
+    return _TRACER[-1] is not None or (
+        _GRAD_ENABLED[-1] and any(p.requires_grad for p in parents))
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum ``grad`` over axes that were broadcast to reach ``grad.shape``.
 

@@ -4,7 +4,7 @@ Turns the batched inference engine (:class:`repro.core.BatchedDSEPredictor`)
 into a serving stack:
 
 * :class:`DynamicBatcher` / :class:`RequestQueue` — coalesce concurrent
-  single-workload requests into engine micro-batches (size-or-deadline
+  single-workload requests into engine batches (size-or-deadline
   flush policy, per-request futures);
 * :class:`ShardedSweepExecutor` — split huge sweeps across worker
   processes and reassemble the shards in order; with

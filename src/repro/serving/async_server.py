@@ -136,12 +136,6 @@ class AsyncDSEServer(DSEServer):
                     from self._loop_error
         return self
 
-    def serve_forever(self) -> None:
-        """Serve until interrupted (the CLI path)."""
-        self.start()
-        while self._thread is not None and self._thread.is_alive():
-            time.sleep(0.2)
-
     def shutdown(self) -> None:
         """Graceful drain: stop accepting, let in-flight requests finish,
         then stop the loop and the routes."""

@@ -2,7 +2,7 @@
 
 Single-workload prediction requests arrive from arbitrary threads (the
 HTTP front-end runs one thread per connection) and are coalesced into
-micro-batches for :class:`repro.core.BatchedDSEPredictor`:
+batches for :class:`repro.core.BatchedDSEPredictor`:
 
 * :class:`RequestQueue` — a condition-variable queue whose ``get_batch``
   blocks for the first request, then keeps collecting until the batch is
@@ -125,14 +125,16 @@ class RequestQueue:
 
 
 class DynamicBatcher:
-    """Coalesce concurrent prediction requests into engine micro-batches.
+    """Coalesce concurrent prediction requests into engine batches.
 
     Parameters
     ----------
     engine:
-        The shared :class:`~repro.core.BatchedDSEPredictor`.  Its
-        ``micro_batch_size`` should be >= ``max_batch_size`` so each
-        coalesced batch is a single forward pass.
+        The shared :class:`~repro.core.BatchedDSEPredictor`.  It runs a
+        coalesced batch as one forward pass per model tile, whose size
+        is fixed by a cache budget, not by this class.  The default
+        ``max_batch_size`` fits inside one tile of the shipped model
+        scales, so each coalesced batch is a single forward pass.
     max_batch_size:
         Flush as soon as this many requests are waiting.
     max_wait_ms:
@@ -188,7 +190,8 @@ class DynamicBatcher:
         """
         self.queue.close()
         thread = self._thread
-        if thread is None:
+        if thread is None or thread.ident is None:     # never started
+            self._thread = None
             return
         thread.join(timeout)
         if thread.is_alive():
@@ -244,7 +247,7 @@ class DynamicBatcher:
         Bulk requests bypass the queue: re-chunking a thousand-row body
         into ``max_batch_size`` coalesced batches (and a future per row)
         would stall the single-row path behind it for no benefit — the
-        engine already micro-batches internally.  Validation, clamping,
+        engine already tiles internally.  Validation, clamping,
         and stats accounting match :meth:`submit`; the caller's thread
         does the forward pass.
         """

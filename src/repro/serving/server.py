@@ -4,7 +4,7 @@
 ``http.server`` — no framework dependency — with one thread per
 connection (:class:`ThreadingHTTPServer`); concurrency is harvested by
 the per-model :class:`~repro.serving.DynamicBatcher` queues behind it,
-which coalesce the per-connection requests into engine micro-batches.
+which coalesce the per-connection requests into engine batches.
 
 The server hosts a :class:`~repro.registry.ModelRegistry` rather than a
 single model: every served model is a :class:`ModelRoute` (its own
@@ -190,7 +190,7 @@ class ModelRoute:
 
     def __init__(self, name: str, model: AirchitectV2, *,
                  max_batch_size: int, max_wait_ms: float,
-                 micro_batch_size: int, source: str = "direct",
+                 source: str = "direct",
                  sweep_workers: int | None = None,
                  max_queue: int | None = None,
                  breaker_threshold: int | None = 5,
@@ -228,9 +228,8 @@ class ModelRoute:
                     ("model",)).labels(model=name) \
                     .set_function(lambda: float(self.breaker.state_code))
         self.last_served = time.time()
-        self.engine = BatchedDSEPredictor(
-            model, micro_batch_size=micro_batch_size,
-            on_batch=self.stats.record_forward)
+        self.engine = BatchedDSEPredictor(model,
+                                          on_batch=self.stats.record_forward)
         self.batcher = DynamicBatcher(self.engine,
                                       max_batch_size=max_batch_size,
                                       max_wait_ms=max_wait_ms,
@@ -481,8 +480,7 @@ class _ServingHTTPServer(ThreadingHTTPServer):
         self.dse = dse
         super().__init__(address, _ServingHandler)
         # ``BaseServer.shutdown`` blocks on an event that only the serve
-        # loop's ``finally`` sets.  If shutdown runs before the loop was
-        # ever entered (a SIGTERM can interrupt the CLI in that window)
+        # loop's ``finally`` sets.  On a server that was never started
         # the wait would deadlock; pre-setting the event makes shutdown
         # a no-op then.  ``serve_forever`` clears it on entry, restoring
         # the normal handshake.
@@ -559,7 +557,6 @@ class DSEServer:
     def __init__(self, model: AirchitectV2 | None = None,
                  host: str = "127.0.0.1", port: int = 0,
                  max_batch_size: int = 64, max_wait_ms: float = 2.0,
-                 micro_batch_size: int | None = None,
                  oracle: ExhaustiveOracle | None = None,
                  request_timeout_s: float = 60.0,
                  log_requests: bool = False,
@@ -588,7 +585,6 @@ class DSEServer:
         self.started_at = time.time()
         self.max_batch_size = max_batch_size
         self.max_wait_ms = max_wait_ms
-        self.micro_batch_size = micro_batch_size or max(max_batch_size, 1024)
         self.max_models = max_models
         self.sweep_workers = sweep_workers
         self.max_queue = max_queue
@@ -670,7 +666,6 @@ class DSEServer:
         """Attach a model under ``name`` (started if the server runs)."""
         route = ModelRoute(name, model, max_batch_size=self.max_batch_size,
                            max_wait_ms=self.max_wait_ms,
-                           micro_batch_size=self.micro_batch_size,
                            source=source, sweep_workers=self.sweep_workers,
                            max_queue=self.max_queue,
                            breaker_threshold=self.breaker_threshold,
@@ -733,7 +728,6 @@ class DSEServer:
                 route = ModelRoute(
                     name, loaded, max_batch_size=self.max_batch_size,
                     max_wait_ms=self.max_wait_ms,
-                    micro_batch_size=self.micro_batch_size,
                     source="registry", sweep_workers=self.sweep_workers,
                     max_queue=self.max_queue,
                     breaker_threshold=self.breaker_threshold,
@@ -1071,7 +1065,7 @@ class DSEServer:
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> "DSEServer":
-        """Serve in a background thread (tests / embedded use)."""
+        """Start the routes, then serve from a background thread."""
         with self._route_lock:
             self._running = True
             for route in self.routes.values():
@@ -1082,14 +1076,6 @@ class DSEServer:
                 name="dse-http-server", daemon=True)
             self._thread.start()
         return self
-
-    def serve_forever(self) -> None:
-        """Serve on the calling thread until interrupted (the CLI path)."""
-        with self._route_lock:
-            self._running = True
-            for route in self.routes.values():
-                route.start()
-        self._httpd.serve_forever()
 
     def shutdown(self) -> None:
         self._httpd.shutdown()

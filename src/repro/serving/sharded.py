@@ -68,7 +68,7 @@ __all__ = ["ShardedSweepExecutor", "AutoscalePolicy", "AutoscaleDecision"]
 _WORKER_ENGINE: BatchedDSEPredictor | None = None
 
 
-def _init_worker(config, problem, state_path: str, micro_batch_size: int) -> None:
+def _init_worker(config, problem, state_path: str) -> None:
     global _WORKER_ENGINE
     # A terminal Ctrl-C lands on the whole foreground process *group*,
     # workers included; dying mid-IPC can wedge the parent's
@@ -78,8 +78,7 @@ def _init_worker(config, problem, state_path: str, micro_batch_size: int) -> Non
     model = AirchitectV2(config, problem, np.random.default_rng(0))
     load_module(model, state_path)
     model.eval()
-    _WORKER_ENGINE = BatchedDSEPredictor(model,
-                                         micro_batch_size=micro_batch_size)
+    _WORKER_ENGINE = BatchedDSEPredictor(model)
 
 
 def _run_shard(args: tuple[int, np.ndarray]) -> tuple[int, np.ndarray, np.ndarray]:
@@ -223,8 +222,6 @@ class ShardedSweepExecutor:
         Pool size; defaults to ``os.cpu_count()`` capped at 8.  ``<= 1``
         means single-process (no pool is ever created).  With
         ``autoscale`` this is the *ceiling* — the policy may use fewer.
-    micro_batch_size:
-        Forwarded to each worker's engine.
     min_shard_size:
         Sweeps smaller than this skip the pool: process fan-out costs
         more than it saves on tiny batches.
@@ -261,7 +258,7 @@ class ShardedSweepExecutor:
     """
 
     def __init__(self, model: AirchitectV2, num_workers: int | None = None,
-                 micro_batch_size: int = 1024, min_shard_size: int = 256,
+                 min_shard_size: int = 256,
                  mp_context: str | None = None, autoscale: bool = False,
                  policy: AutoscalePolicy | None = None,
                  registry=None, labels: dict | None = None,
@@ -272,7 +269,6 @@ class ShardedSweepExecutor:
         self.model = model
         self.problem = model.problem
         self.num_workers = max(1, int(num_workers))
-        self.micro_batch_size = micro_batch_size
         self.min_shard_size = max(1, int(min_shard_size))
         if mp_context is None:
             mp_context = "fork" if "fork" in \
@@ -307,8 +303,7 @@ class ShardedSweepExecutor:
                     "EWMA per-worker pooled-throughput estimate.",
                     names).labels(**base),
             }
-        self._fallback = BatchedDSEPredictor(model,
-                                             micro_batch_size=micro_batch_size)
+        self._fallback = BatchedDSEPredictor(model)
         self._state_dir: tempfile.TemporaryDirectory | None = None
         self._state_finalizer: weakref.finalize | None = None
         self._default_oracle: ExhaustiveOracle | None = None
@@ -348,8 +343,7 @@ class ShardedSweepExecutor:
             ctx = multiprocessing.get_context(self.mp_context)
             return ctx.Pool(
                 self.num_workers, initializer=_init_worker,
-                initargs=(self.model.config, self.problem, state_path,
-                          self.micro_batch_size))
+                initargs=(self.model.config, self.problem, state_path))
         except (OSError, ValueError) as exc:
             warnings.warn(f"could not start a {self.num_workers}-worker "
                           f"pool ({exc}); falling back to single-process "

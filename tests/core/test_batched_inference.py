@@ -2,8 +2,8 @@
 
 The engine's contract is *bitwise-identical predictions* to the
 per-sample :class:`DSEPredictor` — only throughput may differ.  Parity is
-checked across random model seeds, head styles, and micro-batch sizes
-(1, 7, 64, full-dataset).
+checked across random model seeds, head styles, and inputs spanning
+several of the model's inference tiles.
 """
 
 from __future__ import annotations
@@ -12,9 +12,8 @@ import numpy as np
 import pytest
 
 from repro.core import (AirchitectV2, BatchedDSEPredictor, DSEPredictor,
-                        ModelConfig, evaluate_model)
-
-MICRO_BATCH_SIZES = (1, 7, 64, None)     # None -> full-dataset batches
+                        ModelConfig, evaluate_model, evaluate_predictions)
+from repro.core.model import TILE_BYTES
 
 
 def _model(problem, seed: int, head_style: str = "uov") -> AirchitectV2:
@@ -28,7 +27,7 @@ class TestParityWithPerSamplePredictor:
     def test_identical_to_per_sample_loop(self, problem, small_dataset, seed):
         """Engine output == DSEPredictor called one row at a time."""
         model = _model(problem, seed)
-        engine = BatchedDSEPredictor(model, micro_batch_size=64)
+        engine = BatchedDSEPredictor(model)
         loop = DSEPredictor(model)
         inputs = small_dataset.inputs[:96]
 
@@ -37,20 +36,18 @@ class TestParityWithPerSamplePredictor:
         np.testing.assert_array_equal(pe_b, np.concatenate([p for p, _ in parts]))
         np.testing.assert_array_equal(l2_b, np.concatenate([l for _, l in parts]))
 
-    @pytest.mark.parametrize("micro_batch", MICRO_BATCH_SIZES)
     @pytest.mark.parametrize("seed", [0, 42])
-    def test_micro_batch_size_invariance(self, problem, small_dataset, seed,
-                                         micro_batch):
-        """Predictions do not depend on the micro-batch size."""
+    def test_rows_spanning_three_tiles_match_per_row_loop(self, problem,
+                                                          seed):
+        """Tile boundaries never change a prediction: three tiles (the
+        last one ragged) equal the one-row-at-a-time loop."""
         model = _model(problem, seed)
-        inputs = small_dataset.inputs
-        size = len(inputs) if micro_batch is None else micro_batch
-        engine = BatchedDSEPredictor(model, micro_batch_size=size)
-        reference = model.predict_indices(inputs)
-
-        pe, l2 = engine.predict_indices(inputs)
-        np.testing.assert_array_equal(pe, reference[0])
-        np.testing.assert_array_equal(l2, reference[1])
+        inputs = problem.sample_inputs(2 * model.tile_rows + 9,
+                                       np.random.default_rng(seed))
+        pe, l2 = BatchedDSEPredictor(model).predict_indices(inputs)
+        parts = [DSEPredictor(model).predict_indices(row) for row in inputs]
+        np.testing.assert_array_equal(pe, np.concatenate([p for p, _ in parts]))
+        np.testing.assert_array_equal(l2, np.concatenate([l for _, l in parts]))
 
     @pytest.mark.parametrize("head_style", ["uov", "classification", "joint",
                                             "regression"])
@@ -58,7 +55,7 @@ class TestParityWithPerSamplePredictor:
                                        head_style):
         """decode_logits is shared, so every head style stays in parity."""
         model = _model(problem, 3, head_style=head_style)
-        engine = BatchedDSEPredictor(model, micro_batch_size=17)
+        engine = BatchedDSEPredictor(model)
         inputs = small_dataset.inputs[:64]
 
         pe, l2 = engine.predict_indices(inputs)
@@ -80,7 +77,7 @@ class TestParityWithPerSamplePredictor:
 
 class TestSweepAPI:
     def test_sweep_shapes_and_throughput(self, problem, small_dataset):
-        engine = BatchedDSEPredictor(_model(problem, 5), micro_batch_size=128)
+        engine = BatchedDSEPredictor(_model(problem, 5))
         result = engine.sweep(small_dataset.inputs[:100])
         assert len(result) == 100
         assert result.num_pes.shape == (100,)
@@ -97,9 +94,14 @@ class TestSweepAPI:
         expected = oracle.cost_at(inputs, result.pe_idx, result.l2_idx)
         np.testing.assert_allclose(result.predicted_cost, expected, rtol=1e-12)
 
-    def test_invalid_micro_batch_rejected(self, problem):
-        with pytest.raises(ValueError):
-            BatchedDSEPredictor(_model(problem, 0), micro_batch_size=0)
+    def test_tile_rows_fit_the_byte_budget(self, problem):
+        """Tiles are sized by bytes: the widest per-row activation (FFN
+        hidden over 4 tokens, or the 768-way joint head) times the tile
+        rows stays within TILE_BYTES, and one more row would not."""
+        for style, widest in (("uov", 4 * 64), ("joint", 768)):
+            model = _model(problem, 0, head_style=style)
+            assert model.tile_rows * widest * 8 <= TILE_BYTES
+            assert (model.tile_rows + 1) * widest * 8 > TILE_BYTES
 
     def test_elapsed_includes_cost_phase(self, problem, small_dataset,
                                          oracle):
@@ -118,33 +120,38 @@ class TestSweepAPI:
 
 
 class TestOnBatchHook:
-    def test_hook_sees_every_micro_batch(self, problem, small_dataset):
+    def test_hook_sees_every_tile(self, problem):
         calls: list[tuple[int, float]] = []
+        model = _model(problem, 5, head_style="joint")
         engine = BatchedDSEPredictor(
-            _model(problem, 5), micro_batch_size=64,
-            on_batch=lambda rows, s: calls.append((rows, s)))
-        inputs = small_dataset.inputs[:150]
+            model, on_batch=lambda rows, s: calls.append((rows, s)))
+        tile = model.tile_rows
+        inputs = problem.sample_inputs(2 * tile + 22,
+                                       np.random.default_rng(5))
         engine.predict_indices(inputs)
-        assert [rows for rows, _ in calls] == [64, 64, 22]
+        assert [rows for rows, _ in calls] == [tile, tile, 22]
         assert all(elapsed >= 0 for _, elapsed in calls)
 
     def test_hooked_engine_predictions_unchanged(self, problem,
                                                  small_dataset):
         model = _model(problem, 8)
         inputs = small_dataset.inputs[:100]
-        plain = BatchedDSEPredictor(model, micro_batch_size=32)
-        hooked = BatchedDSEPredictor(model, micro_batch_size=32,
-                                     on_batch=lambda *a: None)
+        plain = BatchedDSEPredictor(model)
+        hooked = BatchedDSEPredictor(model, on_batch=lambda *a: None)
         np.testing.assert_array_equal(hooked.predict_indices(inputs),
                                       plain.predict_indices(inputs))
 
 
 class TestEvaluateModelUsesBatchedPath:
-    def test_metrics_identical_across_micro_batches(self, problem,
-                                                    small_dataset, oracle):
+    def test_metrics_identical_to_per_sample_scoring(self, problem,
+                                                     small_dataset, oracle):
         model = _model(problem, 9)
-        a = evaluate_model(model, small_dataset, oracle=oracle,
-                           compute_regret=True, micro_batch_size=32)
-        b = evaluate_model(model, small_dataset, oracle=oracle,
-                           compute_regret=True, micro_batch_size=512)
-        assert a.as_dict() == b.as_dict()
+        batched = evaluate_model(model, small_dataset, oracle=oracle,
+                                 compute_regret=True)
+        parts = [DSEPredictor(model).predict_indices(row)
+                 for row in small_dataset.inputs]
+        per_sample = evaluate_predictions(
+            problem, small_dataset, np.concatenate([p for p, _ in parts]),
+            np.concatenate([l for _, l in parts]), pe_codec=model.pe_codec,
+            l2_codec=model.l2_codec, oracle=oracle, compute_regret=True)
+        assert batched.as_dict() == per_sample.as_dict()

@@ -5,7 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import AirchitectV2, ModelConfig
+from repro import nn
+from repro.core import HEAD_STYLES, AirchitectV2, ModelConfig
+from repro.experiments.harness import get_scale
 
 
 def _tiny_config(**overrides):
@@ -86,9 +88,51 @@ class TestPrediction:
     def test_predict_batching_consistent(self, problem, rng):
         model = AirchitectV2(_tiny_config(), problem, rng)
         inputs = problem.sample_inputs(30, rng)
-        full = model.predict_indices(inputs, batch_size=30)
-        chunked = model.predict_indices(inputs, batch_size=7)
-        np.testing.assert_array_equal(full[0], chunked[0])
+        full = model.predict_indices(inputs)
+        chunked = np.concatenate([model.predict_indices(inputs[i:i + 7])[0]
+                                  for i in range(0, 30, 7)])
+        np.testing.assert_array_equal(full[0], chunked)
+
+
+class TestTiledInference:
+    """Inference runs in cache-sized tiles; a row's logits must not
+    depend on which tile (or how many rows) it shares a forward with."""
+
+    @pytest.mark.parametrize("style", HEAD_STYLES)
+    @pytest.mark.parametrize("scale", ["tiny", "small", "full"])
+    def test_tiled_logits_equal_one_row_forward(self, problem, scale, style):
+        config = get_scale(scale).model_config(head_style=style)
+        model = AirchitectV2(config, problem, np.random.default_rng(1))
+        inputs = problem.sample_inputs(model.tile_rows + 7,
+                                       np.random.default_rng(2))
+        tiles = list(model.tile_logits(inputs))
+        assert len(tiles) == 2
+        singles = [next(model.tile_logits(row)) for row in inputs]
+        for head in (1, 2):
+            if tiles[0][head] is None:      # joint: one head covers both
+                continue
+            tiled = np.concatenate([t[head].numpy() for t in tiles])
+            one_by_one = np.concatenate([s[head].numpy() for s in singles])
+            np.testing.assert_array_equal(tiled, one_by_one)
+
+    def test_predict_indices_skips_the_performance_head(self, problem, rng,
+                                                        inputs, monkeypatch):
+        model = AirchitectV2(_tiny_config(), problem, rng)
+
+        def boom(*_):
+            raise AssertionError("performance head ran")
+
+        monkeypatch.setattr(model.perf_head, "forward", boom)
+        pe, l2 = model.predict_indices(inputs)
+        assert pe.shape == l2.shape == (10,)
+
+    def test_predict_performance_tiles_like_one_pass(self, problem, rng):
+        model = AirchitectV2(_tiny_config(), problem, rng)
+        inputs = problem.sample_inputs(2 * model.tile_rows + 3, rng)
+        tiled = model.predict_performance(inputs, denormalise=False)
+        with nn.no_grad():
+            one_pass = model.perf_head(model.embed(inputs)).numpy()
+        np.testing.assert_array_equal(tiled, one_pass)
 
     def test_gradient_reaches_encoder_and_decoder(self, problem, rng, inputs):
         model = AirchitectV2(_tiny_config(), problem, rng)

@@ -174,6 +174,52 @@ class TestKernels:
         assert layer.weight.grad is not None
 
 
+class TestInferencePaths:
+    """The 2-D GEMM linear and the in-place no-grad kernels keep the
+    reference's bits; inference rows do not depend on their batch."""
+
+    @pytest.mark.parametrize("lead", [1, 3, 7, 200])
+    @pytest.mark.parametrize("inner", [(4,), (2, 4)], ids=["3d", "4d"])
+    def test_linear_forward_matches_reference(self, lead, inner):
+        rng = np.random.default_rng(lead)
+        w = nn.Tensor(rng.normal(size=(16, 48)), requires_grad=True)
+        b = nn.Tensor(rng.normal(size=48), requires_grad=True)
+        x = nn.Tensor(rng.normal(size=(lead, *inner, 16)), requires_grad=True)
+        reference = (x @ w + b).data
+        np.testing.assert_array_equal(fused.linear(x, w, b).data, reference)
+        with nn.no_grad():
+            np.testing.assert_array_equal(fused.linear(x, w, b).data,
+                                          reference)
+
+    @pytest.mark.parametrize("width", [1, 12, 16, 768])
+    def test_inference_linear_rows_independent_of_batch(self, width):
+        rng = np.random.default_rng(width)
+        w = nn.Tensor(rng.normal(size=(192, width)), requires_grad=True)
+        x = rng.normal(size=(203, 192))
+        with nn.no_grad():
+            batched = fused.linear(nn.Tensor(x), w, None).data
+            for rows in (1, 2, 3, 17, 170):
+                parts = [fused.linear(nn.Tensor(x[i:i + rows]), w, None).data
+                         for i in range(0, len(x), rows)]
+                np.testing.assert_array_equal(np.concatenate(parts), batched)
+
+    @pytest.mark.parametrize("shape", [(7, 9), (2, 5, 6), (170, 4, 192)])
+    def test_no_grad_gelu_and_layer_norm_match_grad_mode(self, shape):
+        rng = np.random.default_rng(11)
+        x = nn.Tensor(rng.normal(size=shape), requires_grad=True)
+        gamma = nn.Tensor(rng.normal(size=shape[-1]), requires_grad=True)
+        beta = nn.Tensor(rng.normal(size=shape[-1]), requires_grad=True)
+        gelu = fused.gelu(x)
+        norm = fused.layer_norm(x, gamma, beta, 1e-5)
+        assert gelu.requires_grad and norm.requires_grad
+        with nn.no_grad():
+            np.testing.assert_array_equal(fused.gelu(x).data, gelu.data)
+            np.testing.assert_array_equal(
+                fused.layer_norm(x, gamma, beta, 1e-5).data, norm.data)
+        frozen = nn.Tensor(x.data)      # needs no grad: same in-place path
+        np.testing.assert_array_equal(fused.gelu(frozen).data, gelu.data)
+
+
 class TestEndToEnd:
     """Whole-model fused-vs-reference bit-identity (the benchmark's
     contract, in miniature, inside tier-1)."""

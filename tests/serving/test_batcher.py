@@ -13,8 +13,7 @@ from repro.serving import DynamicBatcher, ServingStats
 
 def _batcher(model, stats=None, start=False, **kwargs) -> DynamicBatcher:
     stats = stats or ServingStats()
-    engine = BatchedDSEPredictor(model, micro_batch_size=1024,
-                                 on_batch=stats.record_forward)
+    engine = BatchedDSEPredictor(model, on_batch=stats.record_forward)
     return DynamicBatcher(engine, stats=stats, start=start, **kwargs)
 
 

@@ -145,7 +145,8 @@ class TestBulkBodies:
     def test_large_body_served_in_one_engine_batch(self, server, serve_model,
                                                    problem):
         """Bodies above max_batch_size bypass the queue: one vectorised
-        engine call, not ceil(N/max_batch) coalesced batches."""
+        engine call (one forward pass per model tile), not
+        ceil(N/max_batch) coalesced batches."""
         inputs = problem.sample_inputs(200, np.random.default_rng(11))
         workloads = [{"m": int(r[0]), "n": int(r[1]), "k": int(r[2]),
                       "dataflow": int(r[3])} for r in inputs]
@@ -157,7 +158,7 @@ class TestBulkBodies:
         _, stats = _get(server, "/stats")
         assert stats["requests_total"] == 200
         assert stats["batches_total"] == 1
-        assert stats["forward_passes"] == 1     # engine micro-batch >= 200
+        assert stats["forward_passes"] == -(-200 // serve_model.tile_rows)
         # Bulk rows never queued, so they must not dilute the wait mean.
         assert stats["queued_samples"] == 0
         assert stats["mean_queue_wait_ms"] == 0.0
