@@ -1,46 +1,30 @@
-"""Stage-2 train-step throughput: graph replay vs fused eager vs the
-frozen op-by-op reference, plus the train-phase profiling overhead gate.
+"""Stage-2 train-step throughput: fused eager vs the frozen op-by-op
+reference, plus the train-phase profiling overhead gate.
 
-The acceptance gate of the fused compute path (PR 4): a full stage-2
-decoder fit (default ``ModelConfig``/``Stage2Config``, batch 256, 20
-epochs) through the fused kernels, flat-arena optimisers, frozen-encoder
+The acceptance gate of the fused compute path: a full stage-2 decoder
+fit (default ``ModelConfig``/``Stage2Config``, batch 256, 20 epochs)
+through the fused kernels, flat-arena optimisers, frozen-encoder
 embedding cache and zero-copy DataLoader must be >= 2x faster than the
-frozen unfused reference — the op-by-op autograd path this PR keeps intact
-behind ``repro.nn.fused_kernels(False)`` — while producing a
-**bit-identical** loss history (the same contract
-``tests/train/test_parity.py`` enforces for all five trainers).
+frozen unfused reference — the op-by-op autograd path kept intact behind
+``repro.nn.fused_kernels(False)`` — while its loss history agrees with
+the reference's within ``rtol=1e-12`` (the numeric contract of
+:mod:`repro.nn.fused`: same forward bits, gradients that may reassociate
+sums).
 
-The telemetry layer (PR 7) adds a second gate: the same fused fit with a
+The telemetry layer adds a second gate: the same fused fit with a
 :class:`~repro.train.ProfilerCallback` attached (per-phase wall-time
 histograms every batch) must cost <= 3% per median step and keep the loss
-history bit-identical — see ``run_profile_overhead``.
+history bit-identical — the same path must give the same bits, so
+profiling may never change what the model computes — see
+``run_profile_overhead``.
 
-The graph-capture engine (PR 8) adds a third mode: the same fit with
-``repro.nn.graph_capture`` on (the default) — trace the step once,
-compile it into a fused, arena-backed flat schedule, replay every
-subsequent step — again with a bit-identical loss history.  Both paths
-run the same arithmetic (bit-identity forbids reassociation), so what
-replay removes is per-step dispatch and allocation: Tensor/closure
-construction and fresh output arrays.  That win is environment-dependent
-— measured 1.05-1.5x per step on the same hardware depending on
-allocator pressure (fresh-allocation cost balloons under memory load;
-the arena is immune), and ~2x vs the op-by-op reference — so the graph
-gate is direction-only at every scale: replay may never lose to fused
-eager dispatch.  The structural payoff is the IR itself: fusion and
-buffer planning are derived, not hand-maintained, and a second execution
-backend can replace the numpy closures without touching capture.
-
-The win is Python-and-memory overhead, not FLOPs: the fused kernels replay
-the composed chains' exact numpy expressions in one node each, so both
-paths do the same arithmetic; the reference additionally pays ~180 graph
-nodes/closures per step (vs ~50), per-batch copies, per-parameter
+The win is Python-and-memory overhead, not FLOPs: the reference pays ~180
+graph nodes/closures per step (vs ~50), per-batch copies, per-parameter
 optimiser loops, and a frozen-encoder forward pass every step that the
-fused path computes once per fit.  Graph replay then removes the
-remaining per-step dispatch: no Tensor/closure allocation at all, and
-forward outputs write into a liveness-planned buffer arena instead of
-fresh allocations.
+fused path computes once per fit.
 
-Run standalone to record the perf trajectory::
+Run standalone to record the perf trajectory (the record carries the
+commit, host, Python and numpy versions)::
 
     PYTHONPATH=src python benchmarks/bench_train_step.py \
         --output BENCH_train_step.json
@@ -50,7 +34,8 @@ or under pytest (the test is marked ``slow``)::
     pytest benchmarks/bench_train_step.py --benchmark-only -m slow -s
 
 ``--smoke`` runs a seconds-long configuration (tiny model, 2 rounds) that
-only asserts the fused path wins at all — the CI guard against perf
+only asserts the fused path wins at all on steady-state epochs (each
+fit's 3 warm-up epochs are left out) — the CI guard against perf
 regressions sneaking into releases.
 """
 
@@ -58,6 +43,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
+import socket
+import subprocess
 import sys
 import time
 
@@ -69,24 +58,41 @@ from repro.core import AirchitectV2, ModelConfig, Stage2Config, Stage2Trainer
 from repro.dse import DSEProblem, generate_random_dataset
 
 SPEEDUP_TARGET = 2.0
-# Graph replay vs fused eager, per step.  Direction-only: both paths run
-# identical arithmetic, and the dispatch/allocation cost replay removes
-# swings 1.05-1.5x with allocator pressure, so any magnitude gate here
-# would assert machine state, not code.  Replay must simply never lose.
-GRAPH_TARGET = 1.0
+# Fused vs reference loss histories: the kernels' gradient tolerance.
+HISTORY_RTOL = 1e-12
 OVERHEAD_LIMIT = 0.03
 SAMPLES_DEFAULT = 2048
 EPOCHS_DEFAULT = 20
 ROUNDS_DEFAULT = 3
 
-# (fused, graph_capture) per benched execution mode.
-MODES = {"reference": (False, False),
-         "fused": (True, False),
-         "graph": (True, True)}
+# fused_kernels setting per benched execution mode.
+MODES = {"reference": False, "fused": True}
+
+
+def _git(*args: str) -> str | None:
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    try:
+        out = subprocess.run(["git", *args], cwd=root, capture_output=True,
+                             text=True, timeout=10)
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return out.stdout.strip() if out.returncode == 0 else None
+
+
+def _provenance() -> dict:
+    """Which build and host produced a record (``dirty``: the tree had
+    uncommitted changes to tracked files, e.g. the change being
+    recorded)."""
+    status = _git("status", "--porcelain", "--untracked-files=no")
+    return {"commit": _git("rev-parse", "HEAD"),
+            "dirty": None if status is None else bool(status),
+            "host": socket.gethostname(), "nproc": os.cpu_count(),
+            "python": platform.python_version(), "numpy": np.__version__,
+            "platform": platform.platform()}
 
 
 def _fit(problem, dataset, model_config, stage2_config,
-         fused: bool, graph: bool = False, profile: bool = False):
+         fused: bool, profile: bool = False):
     """One full stage-2 fit.
 
     Returns (total wall seconds, per-epoch wall seconds, loss history,
@@ -97,7 +103,7 @@ def _fit(problem, dataset, model_config, stage2_config,
     """
     from repro.train import ProfilerCallback, ThroughputMonitor
 
-    with nn.fused_kernels(fused), nn.graph_capture(graph):
+    with nn.fused_kernels(fused):
         model = AirchitectV2(model_config, problem, np.random.default_rng(0))
         trainer = Stage2Trainer(model, stage2_config)
         monitor = ThroughputMonitor()
@@ -116,7 +122,10 @@ def _fit(problem, dataset, model_config, stage2_config,
 def run_bench(samples: int = SAMPLES_DEFAULT, epochs: int = EPOCHS_DEFAULT,
               rounds: int = ROUNDS_DEFAULT, seed: int = 7,
               model_config: ModelConfig | None = None,
-              batch_size: int | None = None) -> dict:
+              batch_size: int | None = None,
+              warmup_epochs: int = 0) -> dict:
+    """Fused vs reference stage-2 fits; the first ``warmup_epochs`` of
+    every fit are left out of the per-step medians."""
     problem = DSEProblem()
     dataset = generate_random_dataset(problem, samples,
                                       np.random.default_rng(seed))
@@ -126,17 +135,17 @@ def run_bench(samples: int = SAMPLES_DEFAULT, epochs: int = EPOCHS_DEFAULT,
 
     # Warm caches (BLAS init, page pools) outside the measurement.
     _fit(problem, dataset, model_config, Stage2Config(epochs=1),
-         fused=True, graph=True)
+         fused=True)
 
     totals = {mode: float("inf") for mode in MODES}
     epoch_times: dict[str, list[float]] = {mode: [] for mode in MODES}
     histories = {}
     for _ in range(rounds):
-        for mode, (fused, graph) in MODES.items():
+        for mode, fused in MODES.items():
             total, epoch_seconds, histories[mode], _ = _fit(
-                problem, dataset, model_config, stage2, fused, graph)
+                problem, dataset, model_config, stage2, fused)
             totals[mode] = min(totals[mode], total)
-            epoch_times[mode].extend(epoch_seconds)
+            epoch_times[mode].extend(epoch_seconds[warmup_epochs:])
 
     # The gate metric is steady-state step throughput: the *median* epoch
     # per mode over rounds x epochs (the typical cost — robust against
@@ -151,19 +160,17 @@ def run_bench(samples: int = SAMPLES_DEFAULT, epochs: int = EPOCHS_DEFAULT,
               "batch_size": stage2.batch_size,
               "steps_per_epoch": steps_per_epoch,
               "rounds": rounds,
+              "warmup_epochs": warmup_epochs,
               "d_model": model_config.d_model,
               "n_layers": model_config.n_layers,
               "fit_speedup": totals["reference"] / max(totals["fused"],
                                                        1e-12),
               "speedup": step["reference"] / max(step["fused"], 1e-12),
-              "graph_speedup": step["reference"] / max(step["graph"], 1e-12),
-              "graph_speedup_vs_fused": step["fused"] / max(step["graph"],
-                                                            1e-12),
-              "identical_history": bool(
-                  histories["reference"] == histories["fused"]
-                  == histories["graph"]),
-              "speedup_target": SPEEDUP_TARGET,
-              "graph_target": GRAPH_TARGET}
+              "history_rtol": HISTORY_RTOL,
+              "history_close": bool(np.allclose(
+                  histories["fused"]["loss"], histories["reference"]["loss"],
+                  rtol=HISTORY_RTOL, atol=0.0)),
+              "speedup_target": SPEEDUP_TARGET}
     for mode in MODES:
         result[f"{mode}_fit_s"] = totals[mode]
         result[f"{mode}_best_epoch_s"] = min(epoch_times[mode])
@@ -175,7 +182,8 @@ def run_bench(samples: int = SAMPLES_DEFAULT, epochs: int = EPOCHS_DEFAULT,
 def run_profile_overhead(samples: int = SAMPLES_DEFAULT,
                          epochs: int = EPOCHS_DEFAULT,
                          rounds: int = ROUNDS_DEFAULT, seed: int = 7,
-                         model_config: ModelConfig | None = None) -> dict:
+                         model_config: ModelConfig | None = None,
+                         warmup_epochs: int = 0) -> dict:
     """The instrumentation gate of the telemetry layer (PR 7).
 
     The same fused stage-2 fit runs plain and with a
@@ -183,11 +191,7 @@ def run_profile_overhead(samples: int = SAMPLES_DEFAULT,
     histograms on every batch); the profiled median step must stay within
     ``OVERHEAD_LIMIT`` of the plain one, and the loss history must remain
     bit-identical — profiling may never change what the model computes.
-
-    Graph capture is held off on both sides: the gate is defined against
-    the instrumented eager loop (which every fallback batch still runs);
-    the replay path's profiled timing mirrors ``StepContext.apply`` and
-    is covered by the parity tests instead.
+    The first ``warmup_epochs`` of every fit are left out of the medians.
     """
     problem = DSEProblem()
     dataset = generate_random_dataset(problem, samples,
@@ -209,7 +213,7 @@ def run_profile_overhead(samples: int = SAMPLES_DEFAULT,
             _, epoch_seconds, histories[profile], snap = _fit(
                 problem, dataset, model_config, stage2,
                 fused=True, profile=profile)
-            epoch_times[profile].extend(epoch_seconds)
+            epoch_times[profile].extend(epoch_seconds[warmup_epochs:])
             if snap is not None:
                 snapshot = snap
 
@@ -220,6 +224,7 @@ def run_profile_overhead(samples: int = SAMPLES_DEFAULT,
     shares = {phase: stats["share"]
               for phase, stats in snapshot["phases"].items()}
     return {"rounds": rounds,
+            "warmup_epochs": warmup_epochs,
             "plain_step_ms": 1000.0 * plain_step,
             "profiled_step_ms": 1000.0 * profiled_step,
             "profile_overhead": overhead,
@@ -235,51 +240,31 @@ def run_smoke() -> dict:
                          head_hidden=32, num_buckets=8)
     # Batch 64 keeps this in the dispatch-bound regime (per-step
     # Tensor/closure construction dominates the tiny matmuls) and gives
-    # the per-epoch medians 8 steps instead of 2.
-    result = run_bench(samples=512, epochs=6, rounds=2, model_config=config,
-                       batch_size=64)
+    # the per-epoch medians 8 steps instead of 2.  The gate is on
+    # steady-state epochs: with multi-threaded BLAS the first 2-3 epochs
+    # of a fused fit at this size run ~2x slower than the rest (measured
+    # on a 2-vCPU VM), which let a 12-epoch median dip under 1.0x.
+    result = run_bench(samples=512, epochs=8, rounds=2, model_config=config,
+                       batch_size=64, warmup_epochs=3)
     result["smoke"] = True
     # Direction-only fused gate at this scale: the win must exist, not
-    # hit the full-size magnitude target.  (The graph gate is
-    # direction-only at every scale — see GRAPH_TARGET.)
+    # hit the full-size magnitude target.
     result["speedup_target"] = 1.0
     # More rounds than the speedup bench: the 3% gate needs a stable
     # median at this tiny scale, and each extra round costs ~0.1s.
-    result["profiling"] = run_profile_overhead(samples=512, epochs=6,
-                                               rounds=4, model_config=config)
+    result["profiling"] = run_profile_overhead(samples=512, epochs=8,
+                                               rounds=4, model_config=config,
+                                               warmup_epochs=3)
     return result
 
 
 @pytest.mark.slow
 def test_fused_train_step_beats_reference(benchmark):
-    """>= 2x stage-2 train-step throughput, bit-identical loss history."""
+    """>= 2x stage-2 train-step throughput, loss history within rtol."""
     result = benchmark.pedantic(run_bench, rounds=1, iterations=1)
     print(json.dumps(result, indent=2))
-    assert result["identical_history"]
+    assert result["history_close"]
     assert result["speedup"] >= SPEEDUP_TARGET
-    # Replay may never lose to eager fused dispatch.
-    assert result["graph_speedup_vs_fused"] >= GRAPH_TARGET
-
-
-@pytest.mark.slow
-def test_graph_replay_never_loses_dispatch_bound():
-    """Graph replay wins where dispatch dominates, ~2x vs the reference.
-
-    The dispatch-bound regime: a decoder small enough that per-step
-    Tensor/closure construction and fresh output allocation — the costs
-    replay removes — are a visible share of the step.  The magnitude of
-    the win tracks allocator pressure (1.05-1.5x measured on the same
-    hardware), so the gate is direction-only here too; the reference
-    comparison is the stable magnitude claim.
-    """
-    config = ModelConfig(d_model=16, n_layers=1, n_heads=2, embed_dim=8,
-                         head_hidden=32, num_buckets=8)
-    result = run_bench(samples=512, epochs=6, rounds=3, model_config=config,
-                       batch_size=64)
-    print(json.dumps(result, indent=2))
-    assert result["identical_history"]
-    assert result["graph_speedup_vs_fused"] >= GRAPH_TARGET
-    assert result["graph_speedup"] >= 1.5
 
 
 @pytest.mark.slow
@@ -314,24 +299,20 @@ def main(argv: list[str] | None = None) -> int:
         result["profiling"] = run_profile_overhead(
             samples=args.samples, epochs=args.epochs,
             rounds=args.rounds, seed=args.seed)
+    result["provenance"] = _provenance()
     text = json.dumps(result, indent=2)
     print(text)
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text + "\n")
     failed = False
-    if not result["identical_history"]:
-        print("FAIL: loss histories diverge across reference/fused/graph",
-              file=sys.stderr)
+    if not result["history_close"]:
+        print(f"FAIL: fused and reference loss histories differ beyond "
+              f"rtol={result['history_rtol']:g}", file=sys.stderr)
         failed = True
     if result["speedup"] < result["speedup_target"]:
         print(f"FAIL: speedup {result['speedup']:.2f}x < "
               f"{result['speedup_target']:.1f}x target", file=sys.stderr)
-        failed = True
-    if result["graph_speedup_vs_fused"] < result["graph_target"]:
-        print(f"FAIL: graph replay {result['graph_speedup_vs_fused']:.2f}x "
-              f"vs fused < {result['graph_target']:.2f}x target",
-              file=sys.stderr)
         failed = True
     profiling = result["profiling"]
     if not profiling["identical_history"]:

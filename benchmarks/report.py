@@ -52,22 +52,11 @@ def _rows_train_step(doc: dict) -> list[tuple[str, str, str, str]]:
         f"{_fmt(doc['speedup'])}x fused step speedup "
         f"({_fmt(doc['fused_step_ms'])}ms vs "
         f"{_fmt(doc['reference_step_ms'])}ms)",
-        f">= {_fmt(doc['speedup_target'], 1)}x, identical history",
+        f">= {_fmt(doc['speedup_target'], 1)}x, history within "
+        f"rtol={doc['history_rtol']:g}",
         _gate(doc["speedup"] >= doc["speedup_target"]
-              and doc["identical_history"]),
+              and doc["history_close"]),
     )]
-    # Records predating the graph-capture engine lack the graph keys;
-    # keep rendering their fused/reference row instead of skipping.
-    if "graph_speedup_vs_fused" in doc:
-        rows.append((
-            "train_step/graph",
-            f"{_fmt(doc['graph_speedup_vs_fused'])}x graph replay vs fused "
-            f"({_fmt(doc['graph_step_ms'])}ms step, "
-            f"{_fmt(doc['graph_speedup'])}x vs reference)",
-            f">= {_fmt(doc['graph_target'])}x fused, identical history",
-            _gate(doc["graph_speedup_vs_fused"] >= doc["graph_target"]
-                  and doc["identical_history"]),
-        ))
     profiling = doc.get("profiling")
     if profiling:
         rows.append((

@@ -350,10 +350,9 @@ def train_main(argv: list[str] | None = None) -> int:
         "gandse": "gandse", "vaesa": "vaesa"}[args.model])
     cached = workspace.has(model_path)
 
-    from .train import ExecutionMonitor, ProfilerCallback, ThroughputMonitor
+    from .train import ProfilerCallback, ThroughputMonitor
     throughput = ThroughputMonitor()
-    execution = ExecutionMonitor()
-    callbacks = [throughput, execution]
+    callbacks = [throughput]
     profiler_cb = None
     if args.profile:
         profiler_cb = ProfilerCallback()
@@ -367,6 +366,8 @@ def train_main(argv: list[str] | None = None) -> int:
               "to resume", file=sys.stderr)
         return 130
     train_elapsed = time.perf_counter() - start
+    from . import nn
+    backend = "fused" if nn.fused_enabled() else "eager"
 
     from .core import AirchitectV2, evaluate_model, evaluate_predictions
     if isinstance(model, AirchitectV2):
@@ -398,7 +399,7 @@ def train_main(argv: list[str] | None = None) -> int:
                    "samples_per_sec": throughput.mean_samples_per_sec,
                    "mean_epoch_ms": mean_epoch_ms,
                },
-               "execution": execution.summary(),
+               "execution": {"backend": backend},
                "accuracy": metrics.accuracy if metrics else None,
                "pe_accuracy": metrics.pe_accuracy if metrics else None,
                "l2_accuracy": metrics.l2_accuracy if metrics else None}
@@ -433,12 +434,8 @@ def train_main(argv: list[str] | None = None) -> int:
             print(f"throughput: {throughput.mean_samples_per_sec:.0f} "
                   f"samples/sec over {len(throughput.epochs)} epoch(s) "
                   f"({throughput.total_seconds:.1f}s in the train loop)")
-        exec_summary = summary["execution"]
-        if exec_summary["fits"]:
-            print(f"execution: {exec_summary['backend']} backend "
-                  f"({exec_summary['captures']} capture(s), "
-                  f"{exec_summary['replays']} replay(s), "
-                  f"{exec_summary['fallbacks']} eager fallback(s))")
+        if throughput.epochs:
+            print(f"execution: {backend} backend")
         if profiler_cb is not None:
             profile = profiler_cb.snapshot()
             shares = ", ".join(
@@ -456,28 +453,6 @@ def train_main(argv: list[str] | None = None) -> int:
             print(f"registered artifact "
                   f"{summary['registry']['model_id']!r} in {args.registry}")
     return 0
-
-
-def _retain_freed_heap() -> None:
-    """Keep freed heap memory in the process for the next inference tile.
-
-    glibc's adaptive thresholds follow the largest block freed so far:
-    once a tile's ~1 MiB temporaries come from the heap, its top is
-    handed back to the OS whenever ~2 MiB of it is free, which the
-    temporaries cross every layer.  A sweep thus re-faulted ~20 zeroed
-    pages per row of the ``small`` model, about a quarter of its
-    forward time.  Fixed thresholds serve blocks up to 32 MiB from the
-    heap and trim only above 64 MiB free.  A no-op where the C library
-    has no ``mallopt``.
-    """
-    import ctypes
-    m_trim_threshold, m_mmap_threshold = -1, -3
-    try:
-        libc = ctypes.CDLL(None)
-        libc.mallopt(m_mmap_threshold, 32 << 20)
-        libc.mallopt(m_trim_threshold, 64 << 20)
-    except (OSError, AttributeError):
-        pass
 
 
 def serve_main(argv: list[str] | None = None) -> int:
@@ -571,7 +546,6 @@ def serve_main(argv: list[str] | None = None) -> int:
         parser.error("--shard-timeout must be > 0")
     _check_model_args(parser, args, require_model_id=False)
 
-    _retain_freed_heap()
     problem = get_problem()
     oracle = ExhaustiveOracle(problem)
     cache = PersistentOracleCache(args.oracle_cache) \

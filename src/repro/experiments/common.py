@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from .. import nn
 from ..baselines import (GANDSE, GANDSEConfig, AirchitectV1, V1Config, VAESA,
                          VAESAConfig, train_gandse, train_v1, train_vaesa)
 from ..core import (AirchitectV2, Stage1Config, Stage1Trainer, Stage2Config,
                     Stage2Trainer)
 from ..dse import (DSEDataset, DSEProblem, ExhaustiveOracle,
                    generate_workload_dataset)
-from ..train import ExecutionMonitor
 from ..workloads import all_training_layers
 from .harness import ExperimentScale, Workspace, get_scale
 
@@ -79,8 +79,8 @@ def _cached_model(workspace: Workspace, scale: ExperimentScale, tag: str,
     ``build()`` makes the module, ``train(model, checkpoint)`` fits it
     (only when no artifact exists).  ``train`` may return a dict of extra
     fingerprint fields (e.g. which execution backend ran the fit); the
-    bit-identity contract of the graph/fused paths means the backend never
-    changes the artifact, so this is provenance, not identity.
+    fused and composed paths agree within ``rtol=1e-12``, so this is
+    provenance, not identity.
 
     The fitted model is registered as a manifested artifact (kind,
     config, scale + seed fingerprint), so ``repro serve --registry``
@@ -118,10 +118,9 @@ def get_v2(scale, train_set: DSEDataset, workspace: Workspace | None = None,
 
     ``callbacks`` (e.g. a :class:`repro.train.ThroughputMonitor`) are
     attached to both stage fits; they only fire when the model is actually
-    trained, not when it loads from the workspace cache.  An
-    :class:`~repro.train.ExecutionMonitor` always rides along, so the
-    registry manifest records which execution backend (eager / fused /
-    graph) actually trained the artifact.
+    trained, not when it loads from the workspace cache.  The registry
+    manifest records which execution backend (eager / fused) trained the
+    artifact.
     """
     scale = get_scale(scale)
     workspace = workspace or Workspace()
@@ -137,15 +136,13 @@ def get_v2(scale, train_set: DSEDataset, workspace: Workspace | None = None,
 
     def fit(model: AirchitectV2, checkpoint) -> dict:
         s1, s2 = stage_configs(scale, use_contrastive, use_perf)
-        execution = ExecutionMonitor()
-        cbs = tuple(callbacks) + (execution,)
         Stage1Trainer(model, s1).train(
-            train_set, callbacks=cbs,
+            train_set, callbacks=callbacks,
             checkpoint_path=f"{checkpoint}_stage1.npz")
         Stage2Trainer(model, s2).train(
-            train_set, callbacks=cbs,
+            train_set, callbacks=callbacks,
             checkpoint_path=f"{checkpoint}_stage2.npz")
-        return {"backend": execution.summary()["backend"]}
+        return {"backend": "fused" if nn.fused_enabled() else "eager"}
 
     return _cached_model(workspace, scale, tag, build, fit)
 

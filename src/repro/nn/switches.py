@@ -1,12 +1,12 @@
 """Stack-backed execution-mode switches for the ``repro.nn`` runtime.
 
-Both execution toggles — :func:`repro.nn.fused_kernels` and
-:func:`repro.nn.graph_capture` — are instances of :class:`Switch`: a
-boolean whose current value is the top of a stack of scoped overrides.
-Entering a scope pushes a value, leaving it pops — and the scope object
-is exception-safe, so a test (or a crashed fit) can never leak a
-disabled fast path into the rest of the process.  ``tests/conftest.py``
-additionally snapshots and restores every switch around each test.
+The execution toggle :func:`repro.nn.fused_kernels` is an instance of
+:class:`Switch`: a boolean whose current value is the top of a stack of
+scoped overrides.  Entering a scope pushes a value, leaving it pops —
+and the scope object is exception-safe, so a test (or a crashed fit)
+can never leak a disabled fast path into the rest of the process.
+``tests/conftest.py`` additionally snapshots and restores the switch
+around each test.
 """
 
 from __future__ import annotations

@@ -11,12 +11,10 @@ Design notes
 * Gradients are accumulated into ``Tensor.grad`` (a plain ``numpy.ndarray``)
   by :meth:`Tensor.backward`, which walks the recorded computation graph in
   reverse topological order.
-* The DFS post-order used by ``backward`` is part of the numeric contract
-  (it fixes the arrival order of gradient contributions into shared
-  tensors); the fused kernels in :mod:`repro.nn.fused` collapse
-  single-input op chains, which occupy a contiguous run of that order, so
-  fusion changes neither the values nor the accumulation order of any
-  gradient.
+* The DFS post-order used by ``backward`` is deterministic: it fixes the
+  arrival order of gradient contributions into shared tensors, so a given
+  execution path produces the same gradient bits run to run (the
+  numeric contract is spelled out in :mod:`repro.nn.fused`).
 * Broadcasting in binary operations is handled by summing the upstream
   gradient over the broadcast axes (:func:`_unbroadcast`).
 * A module-level ``no_grad`` context manager disables graph recording for
@@ -39,12 +37,6 @@ __all__ = ["Tensor", "no_grad", "is_grad_enabled", "as_tensor", "concat", "stack
 
 _GRAD_ENABLED = [True]
 
-# Active graph tracer (see repro.nn.graph).  While the top of this stack
-# is not None, every Tensor produced through ``Tensor._make`` is also
-# reported to the tracer — the op still executes eagerly, so a trace that
-# fails to capture costs nothing and changes no values.
-_TRACER = [None]
-
 
 @contextlib.contextmanager
 def no_grad():
@@ -56,16 +48,6 @@ def no_grad():
         _GRAD_ENABLED.pop()
 
 
-@contextlib.contextmanager
-def tracing(tracer):
-    """Report every op built under this scope to ``tracer`` (graph capture)."""
-    _TRACER.append(tracer)
-    try:
-        yield tracer
-    finally:
-        _TRACER.pop()
-
-
 def is_grad_enabled() -> bool:
     """Return whether operations currently record the autograd graph."""
     return _GRAD_ENABLED[-1]
@@ -74,12 +56,11 @@ def is_grad_enabled() -> bool:
 def records(parents: Sequence["Tensor"]) -> bool:
     """Whether :meth:`Tensor._make` will record an op over ``parents``.
 
-    True when the op joins the autograd graph or an active graph tracer
-    sees it.  Kernels use this to skip saving backward intermediates
-    (and to work in place) when no backward or replay can ever run.
+    True when the op joins the autograd graph.  Kernels use this to skip
+    saving backward intermediates (and to work in place) when no backward
+    can ever run.
     """
-    return _TRACER[-1] is not None or (
-        _GRAD_ENABLED[-1] and any(p.requires_grad for p in parents))
+    return _GRAD_ENABLED[-1] and any(p.requires_grad for p in parents)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -187,23 +168,13 @@ class Tensor:
     # ------------------------------------------------------------------
     @staticmethod
     def _make(data: np.ndarray, parents: Sequence["Tensor"],
-              backward: Callable[[np.ndarray], None] | None,
-              op: str | None = None, meta: dict | None = None) -> "Tensor":
-        """Create a result tensor, recording the graph edge if needed.
-
-        ``op``/``meta`` name the operation for graph capture: while a
-        tracer is installed (see :func:`tracing`), each result is also
-        recorded as an IR node so :mod:`repro.nn.graph` can compile and
-        replay the step without re-dispatching through Python.
-        """
+              backward: Callable[[np.ndarray], None] | None) -> "Tensor":
+        """Create a result tensor, recording the graph edge if needed."""
         out = Tensor(data)
-        if is_grad_enabled() and any(p.requires_grad for p in parents):
+        if records(parents):
             out.requires_grad = True
             out._parents = tuple(parents)
             out._backward = backward
-        tracer = _TRACER[-1]
-        if tracer is not None:
-            tracer.record(out, op, parents, meta)
         return out
 
     def _accumulate(self, grad: np.ndarray) -> None:
@@ -263,15 +234,12 @@ class Tensor:
             gradient = np.broadcast_to(gradient, self.data.shape).copy()
 
         # Reverse topological order over the graph reachable from self.
-        # NOTE: the *specific* post-order produced by this DFS (parents
-        # pushed in declaration order, explored LIFO) is part of the
-        # numeric contract: it fixes the arrival order of gradient
-        # contributions into shared tensors, and floating-point addition
-        # is not associative.  The fused kernels in :mod:`repro.nn.fused`
-        # collapse single-input chains, which provably occupy a contiguous
-        # run of this post-order, so fusing them does not reorder any
-        # other node's firing slot.  Leaf tensors never fire, so they are
-        # not collected.
+        # The post-order produced by this DFS (parents pushed in
+        # declaration order, explored LIFO) fixes the arrival order of
+        # gradient contributions into shared tensors; floating-point
+        # addition is not associative, so this order is what makes a
+        # backward pass reproducible to the bit.  Leaf tensors never
+        # fire, so they are not collected.
         topo: list[Tensor] = []
         visited: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -307,7 +275,7 @@ class Tensor:
             if other.requires_grad:
                 other._accumulate(_unbroadcast(grad, other.shape))
 
-        return Tensor._make(out_data, (self, other), backward, "add")
+        return Tensor._make(out_data, (self, other), backward)
 
     __radd__ = __add__
 
@@ -321,7 +289,7 @@ class Tensor:
             if other.requires_grad:
                 other._accumulate(_unbroadcast(-grad, other.shape))
 
-        return Tensor._make(out_data, (self, other), backward, "sub")
+        return Tensor._make(out_data, (self, other), backward)
 
     def __rsub__(self, other) -> "Tensor":
         return as_tensor(other).__sub__(self)
@@ -336,7 +304,7 @@ class Tensor:
             if other.requires_grad:
                 other._accumulate(_unbroadcast(grad * self.data, other.shape))
 
-        return Tensor._make(out_data, (self, other), backward, "mul")
+        return Tensor._make(out_data, (self, other), backward)
 
     __rmul__ = __mul__
 
@@ -351,7 +319,7 @@ class Tensor:
                 other._accumulate(
                     _unbroadcast(-grad * self.data / (other.data ** 2), other.shape))
 
-        return Tensor._make(out_data, (self, other), backward, "div")
+        return Tensor._make(out_data, (self, other), backward)
 
     def __rtruediv__(self, other) -> "Tensor":
         return as_tensor(other).__truediv__(self)
@@ -363,7 +331,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(-grad)
 
-        return Tensor._make(out_data, (self,), backward, "neg")
+        return Tensor._make(out_data, (self,), backward)
 
     def __pow__(self, exponent: float) -> "Tensor":
         if not np.isscalar(exponent):
@@ -374,8 +342,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(grad * exponent * self.data ** (exponent - 1))
 
-        return Tensor._make(out_data, (self,), backward, "pow",
-                            {"exponent": exponent})
+        return Tensor._make(out_data, (self,), backward)
 
     def __matmul__(self, other) -> "Tensor":
         other = as_tensor(other)
@@ -404,7 +371,7 @@ class Tensor:
                         gb = gb.sum(axis=tuple(range(gb.ndim - 1))) if gb.ndim > 1 else gb
                 other._accumulate(_unbroadcast(gb, other.shape))
 
-        return Tensor._make(out_data, (self, other), backward, "matmul")
+        return Tensor._make(out_data, (self, other), backward)
 
     def __rmatmul__(self, other) -> "Tensor":
         return as_tensor(other).__matmul__(self)
@@ -419,7 +386,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(grad * out_data)
 
-        return Tensor._make(out_data, (self,), backward, "exp")
+        return Tensor._make(out_data, (self,), backward)
 
     def log(self) -> "Tensor":
         out_data = np.log(self.data)
@@ -428,7 +395,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(grad / self.data)
 
-        return Tensor._make(out_data, (self,), backward, "log")
+        return Tensor._make(out_data, (self,), backward)
 
     def sqrt(self) -> "Tensor":
         out_data = np.sqrt(self.data)
@@ -437,7 +404,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(grad * 0.5 / out_data)
 
-        return Tensor._make(out_data, (self,), backward, "sqrt")
+        return Tensor._make(out_data, (self,), backward)
 
     def abs(self) -> "Tensor":
         out_data = np.abs(self.data)
@@ -446,7 +413,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(grad * np.sign(self.data))
 
-        return Tensor._make(out_data, (self,), backward, "abs")
+        return Tensor._make(out_data, (self,), backward)
 
     def tanh(self) -> "Tensor":
         out_data = np.tanh(self.data)
@@ -455,7 +422,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(grad * (1.0 - out_data ** 2))
 
-        return Tensor._make(out_data, (self,), backward, "tanh")
+        return Tensor._make(out_data, (self,), backward)
 
     def sigmoid(self) -> "Tensor":
         # Numerically stable logistic function.
@@ -468,7 +435,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(grad * out_data * (1.0 - out_data))
 
-        return Tensor._make(out_data, (self,), backward, "sigmoid")
+        return Tensor._make(out_data, (self,), backward)
 
     def relu(self) -> "Tensor":
         mask = self.data > 0
@@ -478,7 +445,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(grad * mask)
 
-        return Tensor._make(out_data, (self,), backward, "relu")
+        return Tensor._make(out_data, (self,), backward)
 
     def clip(self, low: float, high: float) -> "Tensor":
         """Clamp values to ``[low, high]``; gradient is zero outside the range."""
@@ -489,8 +456,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(grad * mask)
 
-        return Tensor._make(out_data, (self,), backward, "clip",
-                            {"low": low, "high": high})
+        return Tensor._make(out_data, (self,), backward)
 
     def maximum(self, other) -> "Tensor":
         other = as_tensor(other)
@@ -505,7 +471,7 @@ class Tensor:
             if other.requires_grad:
                 other._accumulate(_unbroadcast(grad * other_mask, other.shape))
 
-        return Tensor._make(out_data, (self, other), backward, "maximum")
+        return Tensor._make(out_data, (self, other), backward)
 
     # ------------------------------------------------------------------
     # Reductions
@@ -521,8 +487,7 @@ class Tensor:
                 g = np.expand_dims(g, axis=axis)
             self._accumulate(np.broadcast_to(g, self.shape).copy())
 
-        return Tensor._make(out_data, (self,), backward, "sum",
-                            {"axis": axis, "keepdims": keepdims})
+        return Tensor._make(out_data, (self,), backward)
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         if axis is None:
@@ -548,8 +513,7 @@ class Tensor:
             counts = mask.sum(axis=axis if axis is not None else None, keepdims=True)
             self._accumulate(np.broadcast_to(g, self.shape) * mask / counts)
 
-        return Tensor._make(out_data, (self,), backward, "max",
-                            {"axis": axis, "keepdims": keepdims})
+        return Tensor._make(out_data, (self,), backward)
 
     def min(self, axis=None, keepdims: bool = False) -> "Tensor":
         return -((-self).max(axis=axis, keepdims=keepdims))
@@ -567,8 +531,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(grad.reshape(in_shape))
 
-        return Tensor._make(out_data, (self,), backward, "reshape",
-                            {"shape": tuple(out_data.shape)})
+        return Tensor._make(out_data, (self,), backward)
 
     def transpose(self, axes: Sequence[int] | None = None) -> "Tensor":
         out_data = self.data.transpose(axes)
@@ -581,8 +544,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(grad.transpose(inverse))
 
-        return Tensor._make(out_data, (self,), backward, "transpose",
-                            {"axes": None if axes is None else tuple(axes)})
+        return Tensor._make(out_data, (self,), backward)
 
     def swapaxes(self, a: int, b: int) -> "Tensor":
         out_data = self.data.swapaxes(a, b)
@@ -591,8 +553,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(grad.swapaxes(a, b))
 
-        return Tensor._make(out_data, (self,), backward, "swapaxes",
-                            {"a": a, "b": b})
+        return Tensor._make(out_data, (self,), backward)
 
     def __getitem__(self, index) -> "Tensor":
         out_data = self.data[index]
@@ -603,8 +564,7 @@ class Tensor:
                 np.add.at(full, index, grad)
                 self._accumulate(full)
 
-        return Tensor._make(out_data, (self,), backward, "getitem",
-                            {"index": index})
+        return Tensor._make(out_data, (self,), backward)
 
     def expand_dims(self, axis: int) -> "Tensor":
         out_data = np.expand_dims(self.data, axis)
@@ -613,8 +573,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(np.squeeze(grad, axis=axis))
 
-        return Tensor._make(out_data, (self,), backward, "expand_dims",
-                            {"axis": axis})
+        return Tensor._make(out_data, (self,), backward)
 
     def squeeze(self, axis: int) -> "Tensor":
         out_data = np.squeeze(self.data, axis=axis)
@@ -623,8 +582,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(np.expand_dims(grad, axis=axis))
 
-        return Tensor._make(out_data, (self,), backward, "squeeze",
-                            {"axis": axis})
+        return Tensor._make(out_data, (self,), backward)
 
 
 def as_tensor(value, requires_grad: bool = False) -> Tensor:
@@ -648,7 +606,7 @@ def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
                 index[axis] = slice(start, stop)
                 tensor._accumulate(grad[tuple(index)])
 
-    return Tensor._make(out_data, tensors, backward, "concat", {"axis": axis})
+    return Tensor._make(out_data, tensors, backward)
 
 
 def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
@@ -662,7 +620,7 @@ def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
             if tensor.requires_grad:
                 tensor._accumulate(slab)
 
-    return Tensor._make(out_data, tensors, backward, "stack", {"axis": axis})
+    return Tensor._make(out_data, tensors, backward)
 
 
 def where(condition, a, b) -> Tensor:
@@ -681,4 +639,4 @@ def where(condition, a, b) -> Tensor:
         if b.requires_grad:
             b._accumulate(_unbroadcast(grad * (~cond), b.shape))
 
-    return Tensor._make(out_data, (a, b), backward, "where", {"cond": cond})
+    return Tensor._make(out_data, (a, b), backward)

@@ -10,8 +10,7 @@ for resumable checkpoints, early stopping and throughput statistics.
 """
 
 from .callbacks import (Callback, Checkpointer, EarlyStopping,
-                        ExecutionMonitor, ProfilerCallback,
-                        ThroughputMonitor)
+                        ProfilerCallback, ThroughputMonitor)
 from .checkpoint import (CheckpointCorruptError, CheckpointMismatchError,
                          checkpoint_exists, load_checkpoint,
                          previous_checkpoint_path, save_checkpoint)
@@ -19,8 +18,8 @@ from .loop import OptimSpec, StepContext, TrainLoop, TrainTask
 
 __all__ = [
     "TrainLoop", "TrainTask", "OptimSpec", "StepContext",
-    "Callback", "Checkpointer", "EarlyStopping", "ExecutionMonitor",
-    "ThroughputMonitor", "ProfilerCallback",
+    "Callback", "Checkpointer", "EarlyStopping", "ThroughputMonitor",
+    "ProfilerCallback",
     "save_checkpoint", "load_checkpoint", "checkpoint_exists",
     "previous_checkpoint_path",
     "CheckpointMismatchError", "CheckpointCorruptError",

@@ -21,8 +21,8 @@ import os
 from ..obs import PhaseProfiler
 from .checkpoint import _normalise, previous_checkpoint_path, save_checkpoint
 
-__all__ = ["Callback", "Checkpointer", "EarlyStopping", "ExecutionMonitor",
-           "ThroughputMonitor", "ProfilerCallback"]
+__all__ = ["Callback", "Checkpointer", "EarlyStopping", "ThroughputMonitor",
+           "ProfilerCallback"]
 
 
 class Callback:
@@ -175,45 +175,6 @@ class ThroughputMonitor(Callback):
             return 0.0
         samples = sum(e["samples"] for e in self.epochs)
         return samples / max(self.total_seconds, 1e-12)
-
-
-class ExecutionMonitor(Callback):
-    """Collect the loop's execution-backend report across fits.
-
-    The loop fills ``loop.execution`` from its
-    :class:`~repro.nn.graph.GraphExecutor` at the end of every fit
-    (backend eager/fused/graph, capture-cache hits/misses, arena bytes);
-    this callback aggregates those reports so multi-fit runs (sweeps,
-    baselines alongside stage-2) surface one combined summary in
-    ``repro train --json``.
-    """
-
-    _BACKEND_RANK = {"eager": 0, "fused": 1, "graph": 2}
-
-    def __init__(self):
-        self.fits: list[dict] = []
-
-    def on_fit_end(self, loop) -> None:
-        if loop.execution:
-            self.fits.append(dict(loop.execution))
-
-    def summary(self) -> dict:
-        """Aggregate over every observed fit (JSON-ready)."""
-        if not self.fits:
-            return {"backend": "eager", "fits": 0, "captures": 0,
-                    "replays": 0, "fallbacks": 0, "cache_entries": 0,
-                    "arena_bytes": 0}
-        backend = max((fit["backend"] for fit in self.fits),
-                      key=self._BACKEND_RANK.__getitem__)
-        out = {"backend": backend, "fits": len(self.fits)}
-        for key in ("captures", "replays", "fallbacks", "cache_entries",
-                    "arena_bytes"):
-            out[key] = sum(fit[key] for fit in self.fits)
-        failures = [reason for fit in self.fits
-                    for reason in fit.get("failures", ())]
-        if failures:
-            out["failures"] = failures
-        return out
 
 
 class ProfilerCallback(Callback):

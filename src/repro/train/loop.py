@@ -123,26 +123,6 @@ class TrainTask:
         """Forward/backward one batch; returns a value per history key."""
         raise NotImplementedError
 
-    def graph_step(self, batch: tuple):
-        """Describe one batch for graph capture, or ``None`` for eager.
-
-        A capturable task returns ``(inputs, fn)`` (optionally
-        ``(inputs, fn, optimizer_name)``) where ``inputs`` is a tuple of
-        ndarrays varying per batch and ``fn(*inputs)`` is a pure
-        eager-mode function producing the loss tensor — the loop's
-        :class:`~repro.nn.graph.GraphExecutor` traces it once per input
-        signature and replays the compiled schedule afterwards.  The
-        default (``None``) keeps the task on ``batch_step`` for every
-        batch.  Return ``None`` dynamically for batches (or modes, e.g.
-        active dropout) where a fixed trace would not be valid.
-        """
-        return None
-
-    def graph_metrics(self, loss_value: float) -> dict[str, float]:
-        """Per-batch metrics for a graph-executed step (parallels
-        ``batch_step``'s return value)."""
-        return {key: loss_value for key in self.history_keys}
-
     def on_fit_begin(self) -> None:
         """After ``model.train()``, before data/optimisers (e.g. freezing)."""
 
@@ -189,9 +169,6 @@ class TrainLoop:
         # Optional per-phase wall-time profiler; None keeps the loop on
         # its original un-instrumented path (zero added work per batch).
         self.profiler = None
-        # Execution-backend report from the last fit (graph/fused/eager,
-        # capture-cache counters); see GraphExecutor.report().
-        self.execution: dict = {}
 
     @property
     def model(self) -> nn.Module:
@@ -251,14 +228,6 @@ class TrainLoop:
         # in on_fit_begin; read it once and pin it on the step context.
         profiler = self.profiler
         step.profiler = profiler
-        # Tasks that override graph_step opt into capture/replay; the
-        # executor still falls back to batch_step for any batch whose
-        # trace is missing, disabled or uncapturable.  Everything else
-        # keeps the direct batch_step binding (zero added dispatch).
-        graphable = type(task).graph_step is not TrainTask.graph_step
-        executor = nn.graph.GraphExecutor(
-            task, enabled=graphable and nn.graph_enabled())
-        run_step = executor.run if executor.active else task.batch_step
         for epoch in range(self.start_epoch, task.epochs):
             if self.should_stop:
                 break
@@ -269,7 +238,7 @@ class TrainLoop:
             samples = 0
             if profiler is None:
                 for batch in loader:
-                    metrics = run_step(batch, step, self.rng)
+                    metrics = task.batch_step(batch, step, self.rng)
                     for key in sums:
                         sums[key] += metrics[key]
                     batches += 1
@@ -286,7 +255,7 @@ class TrainLoop:
                                     time.perf_counter() - tic_data)
                     profiler.start_batch()
                     tic_step = time.perf_counter()
-                    metrics = run_step(batch, step, self.rng)
+                    metrics = task.batch_step(batch, step, self.rng)
                     step_s = time.perf_counter() - tic_step
                     # Forward by subtraction: batch_step minus whatever
                     # StepContext.apply booked as backward/optimizer.
@@ -307,7 +276,6 @@ class TrainLoop:
                       f"{task.epoch_message(self.history)}")
             for cb in callbacks:
                 cb.on_epoch_end(self)
-        self.execution = executor.report()
         task.on_fit_end()
         model.eval()
         for cb in callbacks:

@@ -1,10 +1,14 @@
-"""Bit-identity of the fused kernels vs the op-by-op reference path.
+"""The fused kernels' numeric contract vs the op-by-op reference path.
 
-Every fused kernel must produce the exact same forward bits AND the exact
-same gradient bits (values and accumulation grouping) as the composed
-chain it replaces — ``np.testing.assert_array_equal``, no tolerances.
-The end-to-end classes extend the same contract to whole training runs:
-fused on vs fused off must give identical loss histories and weights.
+Every fused kernel produces the exact same forward bits as the composed
+chain it replaces.  Gradients match the chain's bit for bit too, except
+where a backward pass reassociates sums: Linear's are 2-D GEMMs over the
+collapsed leading dims, so they are held to ``rtol=1e-12``.  The hot
+kernels' gradients are also checked against
+central finite differences.  The end-to-end classes extend the contract
+to whole training runs: fused on vs fused off agree within
+``rtol=1e-12`` in loss histories and weights, and the same path gives
+identical bits run to run.
 """
 
 from __future__ import annotations
@@ -15,6 +19,22 @@ import pytest
 from repro import nn
 from repro.nn import functional as F
 from repro.nn import fused
+
+from ..conftest import finite_difference_gradient
+
+RTOL = 1e-12
+
+
+def _assert_close(actual, desired, err_msg="", scale=None):
+    """``rtol=1e-12``, with entries that cancel to near zero judged at
+    ``scale`` (default: the array's largest magnitude): a sum
+    reassociated at one ulp per term moves such an entry by ~1e-15
+    absolute, which is a large share of itself."""
+    desired = np.asarray(desired)
+    if scale is None:
+        scale = np.abs(desired).max()
+    np.testing.assert_allclose(actual, desired, rtol=RTOL,
+                               atol=RTOL * scale, err_msg=err_msg)
 
 
 def _pair(shape, seed, requires_grad=True):
@@ -63,9 +83,34 @@ class TestKernels:
             out_f = (layer_f(xf) * 2.0).sum()
             out_f.backward()
         np.testing.assert_array_equal(out_f.data, out_r.data)
-        np.testing.assert_array_equal(xf.grad, xr.grad)
-        np.testing.assert_array_equal(layer_f.weight.grad, layer_r.weight.grad)
-        np.testing.assert_array_equal(layer_f.bias.grad, layer_r.bias.grad)
+        _assert_close(xf.grad, xr.grad)
+        _assert_close(layer_f.weight.grad, layer_r.weight.grad)
+        _assert_close(layer_f.bias.grad, layer_r.bias.grad)
+
+    @pytest.mark.parametrize("lead", [1, 3, 7, 200])
+    @pytest.mark.parametrize("inner", [(), (4,), (2, 4)],
+                             ids=["2d", "3d", "4d"])
+    def test_linear_gradients_match_reference(self, lead, inner):
+        """Forward bitwise equal to ``x @ W + b``; input, weight and bias
+        gradients (2-D GEMMs over the collapsed leading dims) within
+        ``rtol=1e-12`` of the composed op's."""
+        rng = np.random.default_rng(lead)
+        data = rng.normal(size=(lead, *inner, 16))
+        w_data, b_data = rng.normal(size=(16, 48)), rng.normal(size=48)
+        upstream = rng.normal(size=(lead, *inner, 48))
+        leaves = {}
+        for name, op in (("ref", lambda x, w, b: x @ w + b),
+                         ("fused", fused.linear)):
+            x = nn.Tensor(data.copy(), requires_grad=True)
+            w = nn.Tensor(w_data.copy(), requires_grad=True)
+            b = nn.Tensor(b_data.copy(), requires_grad=True)
+            out = op(x, w, b)
+            out.backward(upstream)
+            leaves[name] = (out, x, w, b)
+        (out_r, *ref), (out_f, *fast) = leaves["ref"], leaves["fused"]
+        np.testing.assert_array_equal(out_f.data, out_r.data)
+        for leaf_f, leaf_r, name in zip(fast, ref, ("x", "weight", "bias")):
+            _assert_close(leaf_f.grad, leaf_r.grad, err_msg=name)
 
     def test_linear_no_bias(self):
         xr, xf = _pair((5, 3), 3)
@@ -75,8 +120,8 @@ class TestKernels:
         with fused.fused_kernels(True):
             lf = nn.Linear(3, 4, np.random.default_rng(1), bias=False)
             (lf(xf) * 3.0).sum().backward()
-        np.testing.assert_array_equal(xf.grad, xr.grad)
-        np.testing.assert_array_equal(lf.weight.grad, lr.weight.grad)
+        _assert_close(xf.grad, xr.grad)
+        _assert_close(lf.weight.grad, lr.weight.grad)
 
     @pytest.mark.parametrize("shape", [(7, 9), (2, 5, 6)])
     def test_gelu(self, shape):
@@ -174,6 +219,46 @@ class TestKernels:
         assert layer.weight.grad is not None
 
 
+class TestFiniteDifferences:
+    """Each hot kernel's analytic gradient vs central differences of its
+    float64 forward, for every differentiable input."""
+
+    @staticmethod
+    def _check(kernel, arrays, tol=1e-6):
+        rng = np.random.default_rng(99)
+        tensors = [nn.Tensor(a.copy(), requires_grad=True) for a in arrays]
+        out = kernel(*tensors)
+        weights = rng.normal(size=out.shape)     # a generic upstream grad
+        (out * weights).sum().backward()
+        for i, tensor in enumerate(tensors):
+            def loss(value, i=i):
+                inputs = [nn.Tensor(a) for a in arrays]
+                inputs[i] = nn.Tensor(value)
+                return float((kernel(*inputs).data * weights).sum())
+            numeric = finite_difference_gradient(loss, arrays[i].copy())
+            np.testing.assert_allclose(tensor.grad, numeric, rtol=tol,
+                                       atol=tol, err_msg=f"input {i}")
+
+    @pytest.mark.parametrize("shape", [(5, 4), (2, 3, 4), (2, 2, 3, 4)],
+                             ids=["2d", "3d", "4d"])
+    def test_linear(self, shape):
+        rng = np.random.default_rng(1)
+        self._check(fused.linear, [rng.normal(size=shape),
+                                   rng.normal(size=(4, 3)),
+                                   rng.normal(size=3)])
+
+    @pytest.mark.parametrize("shape", [(5, 6), (2, 3, 6)], ids=["2d", "3d"])
+    def test_layer_norm(self, shape):
+        rng = np.random.default_rng(2)
+        self._check(lambda x, g, b: fused.layer_norm(x, g, b, 1e-5),
+                    [rng.normal(size=shape), rng.normal(size=shape[-1]),
+                     rng.normal(size=shape[-1])])
+
+    @pytest.mark.parametrize("shape", [(5, 6), (2, 3, 6)], ids=["2d", "3d"])
+    def test_gelu(self, shape):
+        self._check(fused.gelu, [np.random.default_rng(3).normal(size=shape)])
+
+
 class TestInferencePaths:
     """The 2-D GEMM linear and the in-place no-grad kernels keep the
     reference's bits; inference rows do not depend on their batch."""
@@ -221,38 +306,61 @@ class TestInferencePaths:
 
 
 class TestEndToEnd:
-    """Whole-model fused-vs-reference bit-identity (the benchmark's
-    contract, in miniature, inside tier-1)."""
+    """Whole-model fused-vs-reference agreement (the benchmark's
+    contract, in miniature, inside tier-1) and same-path determinism."""
 
-    def _histories(self, fused_mode):
+    @staticmethod
+    def _histories(fused_mode, config=None, samples=96, epochs=2):
         from repro.core import (AirchitectV2, ModelConfig, Stage1Config,
                                 Stage1Trainer, Stage2Config, Stage2Trainer)
         from repro.dse import DSEProblem, generate_random_dataset
 
         problem = DSEProblem()
-        data = generate_random_dataset(problem, 96,
+        data = generate_random_dataset(problem, samples,
                                        np.random.default_rng(3))
-        config = ModelConfig(d_model=16, n_layers=1, n_heads=2, embed_dim=8,
-                             head_hidden=16, num_buckets=8)
+        config = config or ModelConfig(d_model=16, n_layers=1, n_heads=2,
+                                       embed_dim=8, head_hidden=16,
+                                       num_buckets=8)
         with fused.fused_kernels(fused_mode):
             model = AirchitectV2(config, problem, np.random.default_rng(0))
-            h1 = Stage1Trainer(model, Stage1Config(epochs=2)).train(data)
-            h2 = Stage2Trainer(model, Stage2Config(epochs=2)).train(data)
+            h1 = Stage1Trainer(model, Stage1Config(epochs=epochs)).train(data)
+            h2 = Stage2Trainer(model, Stage2Config(epochs=epochs)).train(data)
             weights = {k: p.data.copy() for k, p in model.named_parameters()}
         return h1, h2, weights
 
     def test_two_stage_training_identical(self):
+        """Fused and reference fits agree within ``rtol=1e-12``."""
         h1_ref, h2_ref, w_ref = self._histories(False)
         h1_fused, h2_fused, w_fused = self._histories(True)
-        assert h1_fused == h1_ref
-        assert h2_fused == h2_ref
+        for fast, ref in ((h1_fused, h1_ref), (h2_fused, h2_ref)):
+            assert fast.keys() == ref.keys()
+            for key in ref:
+                _assert_close(fast[key], ref[key], err_msg=key)
+        # Weights are judged at the model's scale: the attention key
+        # bias gets an exactly-zero true gradient (softmax ignores a
+        # per-query shift), so on either path it trains on roundoff
+        # and holds only ~1e-14 noise.
+        scale = max(np.abs(value).max() for value in w_ref.values())
+        assert w_fused.keys() == w_ref.keys()
         for key, value in w_ref.items():
-            np.testing.assert_array_equal(w_fused[key], value, err_msg=key)
+            _assert_close(w_fused[key], value, err_msg=key, scale=scale)
+
+    def test_same_path_is_bit_identical_run_to_run(self):
+        """Two identical ``small``-width fits on the fused path (default
+        BLAS threading) give identical history and weight bits."""
+        from repro.experiments.harness import get_scale
+        config = get_scale("small").model_config()
+        first = self._histories(True, config, samples=512, epochs=1)
+        second = self._histories(True, config, samples=512, epochs=1)
+        assert first[0] == second[0]
+        assert first[1] == second[1]
+        for key, value in first[2].items():
+            np.testing.assert_array_equal(second[2][key], value, err_msg=key)
 
     def test_stage2_with_dropout_stays_identical(self):
         """Active encoder dropout disables the embedding cache (a cached
         embedding would freeze one dropout mask); fused and reference must
-        still match bit for bit."""
+        still agree."""
         from repro.core import (AirchitectV2, ModelConfig, Stage2Config,
                                 Stage2Trainer)
         from repro.core.stage2 import _Stage2Task
@@ -270,4 +378,30 @@ class TestEndToEnd:
                 trainer = Stage2Trainer(model, Stage2Config(epochs=2))
                 assert not _Stage2Task(trainer, data)._embed_cacheable
                 histories[mode] = trainer.train(data)
-        assert histories[True] == histories[False]
+        _assert_close(histories[True]["loss"], histories[False]["loss"])
+
+
+class TestSwitch:
+    """``fused_kernels`` is a scoped, exception-safe override."""
+
+    def test_fused_kernels_exception_safe(self):
+        assert nn.fused_enabled()
+        with pytest.raises(RuntimeError):
+            with nn.fused_kernels(False):
+                assert not nn.fused_enabled()
+                raise RuntimeError("boom")
+        assert nn.fused_enabled()
+
+    def test_nested_scopes(self):
+        with nn.fused_kernels(False):
+            with nn.fused_kernels(True):
+                assert nn.fused_enabled()
+            assert not nn.fused_enabled()
+        assert nn.fused_enabled()
+
+    def test_scope_close_is_idempotent(self):
+        scope = nn.fused_kernels(False)
+        assert not nn.fused_enabled()
+        scope.close()
+        scope.close()
+        assert nn.fused_enabled()

@@ -3,15 +3,10 @@
 from __future__ import annotations
 
 import json
-import resource
-import sys
 
-import numpy as np
 import pytest
 
-from repro.cli import _retain_freed_heap, main
-from repro.core import AirchitectV2
-from repro.experiments.harness import get_scale
+from repro.cli import main
 
 
 class TestPredictCommand:
@@ -130,21 +125,6 @@ class TestServeCommand:
         assert "--max-queue" in out
         assert "--request-timeout" in out
 
-    @pytest.mark.skipif(not sys.platform.startswith("linux"),
-                        reason="page-fault counts are glibc/Linux behaviour")
-    def test_retained_heap_lets_tiles_reuse_pages(self, problem):
-        """With the heap pinned, a warm sweep of the ``small`` model
-        reuses its tiles' pages instead of faulting ~20 in per row."""
-        _retain_freed_heap()
-        model = AirchitectV2(get_scale("small").model_config(), problem,
-                             np.random.default_rng(0))
-        inputs = problem.sample_inputs(1024, np.random.default_rng(1))
-        model.predict_indices(inputs)
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        model.predict_indices(inputs)
-        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-        assert faults < 2 * len(inputs)
-
 
 class TestTrainCommand:
     def test_smoke_trains_and_reports_json(self, tmp_path, capsys):
@@ -156,6 +136,16 @@ class TestTrainCommand:
         assert doc["cached_model"] is False
         assert doc["train_samples"] > 0
         assert 0.0 <= doc["accuracy"] <= 1.0
+        assert doc["execution"] == {"backend": "fused"}
+
+    def test_reference_path_reports_eager_backend(self, tmp_path, capsys):
+        from repro import nn
+        with nn.fused_kernels(False):
+            code = main(["train", "--smoke", "--cache", str(tmp_path),
+                         "--json"])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["execution"] == {"backend": "eager"}
 
     def test_second_run_loads_cached_model(self, tmp_path, capsys):
         main(["train", "--smoke", "--cache", str(tmp_path), "--json"])
