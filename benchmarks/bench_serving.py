@@ -8,7 +8,7 @@ Four gates, one per serving-subsystem promise:
   into engine batches) must deliver >= 3x the throughput of the
   unbatched path (one engine forward pass per request), with predictions
   bit-identical to :class:`repro.core.DSEPredictor`.
-* **Sustained-load SLO** — a client fleet hammering the asyncio HTTP
+* **Sustained-load SLO** — a client fleet hammering the HTTP
   front-end over keep-alive connections for a fixed wall-clock window
   must keep client-observed p99 latency under ``--p99-limit``, with the
   server's own ``/stats`` p50/p95/p99 histogram recorded alongside.
@@ -61,7 +61,7 @@ from repro.dse import DSEProblem
 from repro.faults import active as _active_faults
 from repro.faults import fire
 from repro.obs import Tracer
-from repro.serving import AsyncDSEServer, DynamicBatcher, ServingStats
+from repro.serving import DSEServer, DynamicBatcher, ServingStats
 
 SPEEDUP_TARGET = 3.0
 P99_LIMIT_S = 0.5
@@ -229,7 +229,7 @@ def run_obs_overhead(clients: int = 16, requests_per_client: int = 64,
 def run_sustained(duration_s: float = 5.0, clients: int = 8,
                   max_batch_size: int = 64, max_wait_ms: float = 2.0,
                   p99_limit_s: float = P99_LIMIT_S, seed: int = 0) -> dict:
-    """Sustained load against the asyncio front-end: keep-alive client
+    """Sustained load against the HTTP front-end: keep-alive client
     fleet, client-observed p50/p95/p99, server-side ``/stats`` histogram."""
     problem = DSEProblem()
     rng = np.random.default_rng(seed)
@@ -241,8 +241,8 @@ def run_sustained(duration_s: float = 5.0, clients: int = 8,
     non_200 = [0] * clients
     stop = threading.Event()
 
-    server = AsyncDSEServer(model, port=0, max_batch_size=max_batch_size,
-                            max_wait_ms=max_wait_ms)
+    server = DSEServer(model, port=0, max_batch_size=max_batch_size,
+                       max_wait_ms=max_wait_ms)
     with server:
         host, port = server.address
 
@@ -307,8 +307,8 @@ def run_saturation(seed: int = 0) -> dict:
     problem = DSEProblem()
     rng = np.random.default_rng(seed)
     model = AirchitectV2(ModelConfig(), problem, rng)
-    server = AsyncDSEServer(model, port=0, max_batch_size=4, max_wait_ms=1,
-                            max_queue=2, retry_after_s=1.0)
+    server = DSEServer(model, port=0, max_batch_size=4, max_wait_ms=1,
+                       max_queue=2, retry_after_s=1.0)
     route = server._route(None)
     real = route.engine.predict_indices
 

@@ -16,9 +16,9 @@ Examples::
     python -m repro serve --port 8080 --max-batch-size 64 --max-wait-ms 2 \\
         --oracle-cache .repro_cache/oracle_cache.npz
 
-    # Asyncio front-end with bounded admission (429 + Retry-After),
-    # per-request timeouts (504) and graceful drain on Ctrl-C:
-    python -m repro serve --async --max-queue 256 --request-timeout 30
+    # Bounded admission (429 + Retry-After), per-request timeouts (504);
+    # Ctrl-C or SIGTERM drains in-flight requests:
+    python -m repro serve --max-queue 256 --request-timeout 30
 
     # Multi-model serving from a model registry (routes by the request's
     # "model" field; streaming bulk sweeps via POST /sweep):
@@ -493,10 +493,9 @@ def serve_main(argv: list[str] | None = None) -> int:
                         help="run /sweep chunks through an autoscaled "
                              "sharded executor with up to this many worker "
                              "processes (default: in-process)")
-    parser.add_argument("--async", dest="use_async", action="store_true",
-                        help="serve through the asyncio front-end (bounded "
-                             "admission, graceful drain) instead of the "
-                             "thread-per-connection server")
+    parser.add_argument("--async", action="store_true",
+                        help="no-op, kept for old command lines: asyncio is "
+                             "the only transport")
     parser.add_argument("--max-queue", type=int, default=None,
                         help="bounded per-route admission queue: above this "
                              "many in-flight requests a route answers HTTP "
@@ -520,8 +519,6 @@ def serve_main(argv: list[str] | None = None) -> int:
                              "a lost or hung worker costs one timeout, then "
                              "its shards retry on a rebuilt pool "
                              "(default 120)")
-    parser.add_argument("--log-requests", action="store_true",
-                        help="log every HTTP request to stderr")
     parser.add_argument("--trace-file", metavar="FILE", default=None,
                         help="append finished request spans as NDJSON to "
                              "this file (traces also live in an in-memory "
@@ -566,32 +563,26 @@ def serve_main(argv: list[str] | None = None) -> int:
                   breaker_threshold=args.breaker_threshold or None,
                   breaker_reset_s=args.breaker_reset,
                   shard_timeout_s=args.shard_timeout,
-                  log_requests=args.log_requests,
                   trace_file=args.trace_file)
-    server_cls = DSEServer
-    if args.use_async:
-        from .serving import AsyncDSEServer
-        server_cls = AsyncDSEServer
     from .registry import RegistryError
     try:
         if args.registry:
             # Multi-model mode: every (or the --model-id listed) artifact
             # in the registry becomes a servable route.
             model_ids = args.model_id.split(",") if args.model_id else None
-            server = server_cls(registry=args.registry, model_ids=model_ids,
-                                default_model=args.default_model, **common)
+            server = DSEServer(registry=args.registry, model_ids=model_ids,
+                               default_model=args.default_model, **common)
             served = model_ids or [a.model_id
                                    for a in server.registry.list()]
             print(f"serving {len(served)} registry model(s) from "
                   f"{args.registry}: {', '.join(sorted(served))} "
                   f"(default {server.default_model!r})", file=sys.stderr)
         else:
-            server = server_cls(_build_model(args, problem), **common)
+            server = DSEServer(_build_model(args, problem), **common)
     except (RegistryError, ValueError) as exc:
         print(f"repro serve: error: {exc}", file=sys.stderr)
         return 2
     host, port = server.address
-    front_end = "asyncio" if args.use_async else "threaded"
     # Ctrl-C and SIGTERM (how orchestrators stop containers) only raise
     # a flag; this thread then drains through server.shutdown(), so
     # in-flight requests finish and the oracle cache still snapshots.
@@ -610,7 +601,7 @@ def serve_main(argv: list[str] | None = None) -> int:
         # client (or signal) reacting to it finds a running server.
         server.start()
         print(f"serving one-shot DSE predictions on http://{host}:{port} "
-              f"({front_end} front-end, max_batch_size={args.max_batch_size}, "
+              f"(max_batch_size={args.max_batch_size}, "
               f"max_wait_ms={args.max_wait_ms:g}); Ctrl-C to stop",
               file=sys.stderr)
         stop.wait()

@@ -13,23 +13,18 @@ into a serving stack:
   bit-identical to the fixed-shard path);
 * :class:`PersistentOracleCache` — snapshot/restore the oracle's label
   cache across runs, fingerprint-guarded against stale labels;
-* :class:`DSEServer` — a stdlib threaded HTTP front-end hosting a
+* :class:`DSEServer` — the asyncio HTTP front-end hosting a
   :class:`~repro.registry.ModelRegistry` of models as :class:`ModelRoute`
   entries (``POST /predict`` routed by ``"model"``, streaming
-  ``POST /sweep``, ``GET /models``, ``GET /healthz``, ``GET /stats``)
-  with per-model :class:`ServingStats` accounting throughout — including
-  per-route p50/p95/p99 service-latency via :class:`LatencyHistogram`;
-* :class:`AsyncDSEServer` — the asyncio front-end over the same
-  application layer: bounded per-route admission queues (429 +
-  Retry-After under saturation), per-request timeouts (504), and
-  graceful drain on shutdown, with responses parity-identical to the
-  threaded server.
+  ``POST /sweep``, ``GET /models``, ``GET /healthz``, ``GET /stats``,
+  ``GET /metrics``), with per-model :class:`ServingStats` accounting
+  (including p50/p95/p99 service latency via :class:`LatencyHistogram`),
+  bounded per-route admission (429 + Retry-After), per-request timeouts
+  (504) and graceful drain on shutdown.
 
-``python -m repro serve`` (``--async`` for the asyncio front-end) is the
-CLI entry point.
+``python -m repro serve`` is the CLI entry point.
 """
 
-from .async_server import AsyncDSEServer
 from .batcher import DynamicBatcher, RequestQueue, ServedPrediction
 from .cache import (CorruptCacheWarning, PersistentOracleCache,
                     StaleCacheWarning)
@@ -41,6 +36,6 @@ __all__ = [
     "DynamicBatcher", "RequestQueue", "ServedPrediction",
     "ShardedSweepExecutor", "AutoscalePolicy", "AutoscaleDecision",
     "PersistentOracleCache", "StaleCacheWarning", "CorruptCacheWarning",
-    "DSEServer", "AsyncDSEServer", "ModelRoute",
+    "DSEServer", "ModelRoute",
     "ServingStats", "LatencyHistogram",
 ]

@@ -1,10 +1,13 @@
-"""Stdlib HTTP front-end for the multi-model DSE serving stack.
+"""HTTP front-end for the multi-model DSE serving stack.
 
-``python -m repro serve`` runs this server.  It is deliberately plain
-``http.server`` — no framework dependency — with one thread per
-connection (:class:`ThreadingHTTPServer`); concurrency is harvested by
-the per-model :class:`~repro.serving.DynamicBatcher` queues behind it,
-which coalesce the per-connection requests into engine batches.
+``python -m repro serve`` runs this server.  One asyncio event loop, on
+a background thread, speaks HTTP/1.1 (keep-alive connections, chunked
+streaming responses) with no framework dependency, and hands each
+request to the blocking application layer — ``handle_predict``,
+``prepare_sweep`` and the ``/stats`` and ``/models`` snapshots —
+through a thread pool.  Concurrency is harvested by the per-model
+:class:`~repro.serving.DynamicBatcher` queues behind it, which coalesce
+concurrent requests into engine batches.
 
 The server hosts a :class:`~repro.registry.ModelRegistry` rather than a
 single model: every served model is a :class:`ModelRoute` (its own
@@ -58,8 +61,16 @@ attributes its coalesced forward pass to every trace that shared it.
 Responses echo ``X-Trace-Id``; spans land in the tracer's bounded ring
 and, with a sink configured, an NDJSON file.
 
-All error responses are JSON: unknown routes and unknown models are
-``404``, malformed or non-dict bodies are ``400`` — never a traceback.
+All error responses are JSON and close the connection: unknown routes
+and unknown models are ``404``, malformed or non-dict bodies and
+malformed request lines are ``400``, and a header line over 64 KiB or
+more than 100 headers is ``431`` — never a traceback or a silent
+hang-up.  Tail latency is bounded per route: a full admission queue
+(``max_queue``) answers ``429`` with ``Retry-After``, a request slower
+than ``request_timeout_s`` answers ``504``, and
+:meth:`DSEServer.shutdown` drains — it stops accepting, lets in-flight
+requests finish, hangs up idle keep-alive connections and answers
+``503`` to requests that still arrive on busy ones.
 Each route also carries a :class:`~repro.faults.CircuitBreaker` over its
 *engine* outcomes: after ``breaker_threshold`` consecutive engine
 failures the route answers ``503`` with a ``Retry-After`` header until a
@@ -70,12 +81,17 @@ they can neither trip nor heal a breaker.  ``repro_breaker_state``
 
 from __future__ import annotations
 
+import asyncio
 import json
+import os
 import re
+import socket
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from email.utils import formatdate
+from http import HTTPStatus
 
 import numpy as np
 
@@ -99,6 +115,15 @@ _MAX_BODY_BYTES = 8 << 20
 _MAX_WORKLOADS_PER_REQUEST = 65536
 _MAX_SWEEP_ROWS = 1 << 20
 _MAX_SWEEP_CHUNK = 65536
+# Request-head limits, the same as ``http.client``'s.
+_MAX_LINE_BYTES = 65536
+_MAX_HEADERS = 100
+# Threads that run the blocking application layer; admitted requests
+# beyond this wait for a free thread (``max_queue`` bounds how many).
+_EXECUTOR_WORKERS = min(32, 8 * (os.cpu_count() or 1))
+# How long shutdown() lets in-flight requests finish.
+_DRAIN_TIMEOUT_S = 10.0
+_DRAIN_POLL_S = 0.02
 
 
 class _BadRequest(ValueError):
@@ -143,6 +168,24 @@ class _ServiceUnavailable(Exception):
 
 class _RequestTimeout(Exception):
     """A request exceeded the per-route timeout: HTTP 504."""
+
+
+class _MalformedRequest(ValueError):
+    """An unparseable request head: answered with ``status``, then the
+    connection is closed."""
+
+    def __init__(self, status: int, message: str):
+        self.status = status
+        super().__init__(message)
+
+
+def _head(status: int, headers) -> bytes:
+    """An HTTP/1.1 response head (status line + headers + blank line)."""
+    lines = [f"HTTP/1.1 {status} {HTTPStatus(status).phrase}",
+             "Server: repro-dse",
+             f"Date: {formatdate(usegmt=True)}"]
+    lines += [f"{name}: {value}" for name, value in headers]
+    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
 
 
 def _parse_workloads(doc, limit: int = _MAX_WORKLOADS_PER_REQUEST) \
@@ -314,181 +357,8 @@ class ModelRoute:
         return doc
 
 
-class _ServingHandler(BaseHTTPRequestHandler):
-    server: "_ServingHTTPServer"
-    protocol_version = "HTTP/1.1"
-
-    # ------------------------------------------------------------------
-    def log_message(self, format: str, *args) -> None:
-        if self.server.dse.log_requests:  # pragma: no cover - verbose mode
-            super().log_message(format, *args)
-
-    def _send_json(self, status: int, doc: dict,
-                   extra_headers=()) -> None:
-        body = json.dumps(doc).encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (*getattr(self, "_trace_headers", ()),
-                            *extra_headers):
-            self.send_header(name, value)
-        if status >= 400:
-            # Error paths may not have drained the request body; under
-            # HTTP/1.1 keep-alive the unread bytes would desync the next
-            # request on this connection, so close it instead.
-            self.send_header("Connection", "close")
-            self.close_connection = True
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _unknown_route(self) -> None:
-        self._send_json(404, {"error": f"unknown route "
-                                       f"{self.command} {self.path!r}"})
-
-    # ------------------------------------------------------------------
-    def do_GET(self) -> None:
-        dse = self.server.dse
-        if self.path == "/healthz":
-            self._send_json(200, {"status": "ok",
-                                  "uptime_s": time.time() - dse.started_at})
-        elif self.path == "/stats":
-            self._send_json(200, dse.stats_snapshot())
-        elif self.path == "/models":
-            self._send_json(200, dse.models_snapshot())
-        elif self.path == "/metrics":
-            body = dse.metrics_text().encode()
-            self.send_response(200)
-            self.send_header("Content-Type", _METRICS_CONTENT_TYPE)
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-        else:
-            self._unknown_route()
-
-    def do_PUT(self) -> None:
-        self._unknown_route()   # 404s close the connection, so the unread
-                                # body can never desync a next request
-
-    def do_DELETE(self) -> None:
-        self._unknown_route()
-
-    def _read_body(self, max_bytes: int = _MAX_BODY_BYTES):
-        try:
-            length = int(self.headers.get("Content-Length", 0))
-        except (TypeError, ValueError):
-            raise _BadRequest("invalid Content-Length header") from None
-        if length <= 0 or length > max_bytes:
-            raise _BadRequest(f"Content-Length required (max {max_bytes} "
-                              f"bytes)")
-        try:
-            return json.loads(self.rfile.read(length))
-        except json.JSONDecodeError as exc:
-            raise _BadRequest(f"invalid JSON: {exc}") from None
-
-    def do_POST(self) -> None:
-        dse = self.server.dse
-        if self.path not in ("/predict", "/sweep"):
-            self._unknown_route()
-            return
-        span = dse.begin_request_span(
-            f"http.{self.path[1:]}", self.headers.get("X-Trace-Id"))
-        self._trace_headers = (("X-Trace-Id", span.trace_id),) \
-            if span is not None else ()
-        try:
-            doc = self._read_body()
-            if self.path == "/predict":
-                self._send_json(200, dse.handle_predict(
-                    doc, trace=span.context if span is not None else None))
-            else:
-                self._stream_ndjson(dse.prepare_sweep(doc))
-        except ConnectionError:    # client gone; nobody to answer
-            self.close_connection = True
-            if span is not None:
-                span.status = "error"
-        except _NotFound as exc:
-            self._send_json(404, {"error": str(exc)})
-        except _BadRequest as exc:
-            self._send_json(400, {"error": str(exc)})
-        except _Backpressure as exc:
-            self._send_json(429, {"error": str(exc)},
-                            extra_headers=[("Retry-After",
-                                            exc.retry_after_header)])
-        except _ServiceUnavailable as exc:
-            self._send_json(503, {"error": str(exc)},
-                            extra_headers=[("Retry-After",
-                                            exc.retry_after_header)])
-        except _RequestTimeout as exc:
-            dse.record_error()
-            self._send_json(504, {"error": str(exc)})
-        except Exception as exc:  # pragma: no cover - defensive 500 path
-            dse.record_error()
-            self._send_json(500, {"error": f"{type(exc).__name__}: {exc}"})
-        finally:
-            self._trace_headers = ()
-            if span is not None:
-                span.end()
-
-    # ------------------------------------------------------------------
-    def _write_chunk(self, doc: dict) -> None:
-        data = json.dumps(doc).encode() + b"\n"
-        self.wfile.write(f"{len(data):X}\r\n".encode() + data + b"\r\n")
-        self.wfile.flush()
-
-    def _stream_ndjson(self, lines) -> None:
-        """Send an iterator of JSON docs as a chunked NDJSON response.
-
-        Each document is one ndjson line in its own HTTP chunk, flushed
-        as soon as it is produced — the client sees chunk K while the
-        server computes chunk K+1.  Validation errors raise *before*
-        streaming starts (the caller turns them into 400/404); a failure
-        mid-stream appends an ``{"error": ...}`` line and drops the
-        connection, which clients detect as a truncated stream.
-        """
-        self.send_response(200)
-        self.send_header("Content-Type", "application/x-ndjson")
-        self.send_header("Transfer-Encoding", "chunked")
-        for name, value in getattr(self, "_trace_headers", ()):
-            self.send_header(name, value)
-        self.end_headers()
-        try:
-            for doc in lines:
-                self._write_chunk(doc)
-            self.wfile.write(b"0\r\n\r\n")
-            self.wfile.flush()
-        except ConnectionError:
-            # The client hung up mid-stream — routine for streaming
-            # sweeps (read a few chunks, stop).  Nothing to send and
-            # nobody to send it to; just drop the connection quietly.
-            self.close_connection = True
-        except Exception as exc:   # pragma: no cover - mid-stream failure
-            self.server.dse.record_error()
-            try:
-                self._write_chunk({"error": f"{type(exc).__name__}: {exc}"})
-                self.wfile.write(b"0\r\n\r\n")
-            except ConnectionError:
-                pass
-            self.close_connection = True
-        finally:
-            if hasattr(lines, "close"):
-                lines.close()   # abandoned mid-stream: release admission
-
-
-class _ServingHTTPServer(ThreadingHTTPServer):
-    daemon_threads = True
-
-    def __init__(self, address, dse: "DSEServer"):
-        self.dse = dse
-        super().__init__(address, _ServingHandler)
-        # ``BaseServer.shutdown`` blocks on an event that only the serve
-        # loop's ``finally`` sets.  On a server that was never started
-        # the wait would deadlock; pre-setting the event makes shutdown
-        # a no-op then.  ``serve_forever`` clears it on entry, restoring
-        # the normal handshake.
-        self._BaseServer__is_shut_down.set()
-
-
 class DSEServer:
-    """The full serving stack: registry -> routes -> threaded HTTP server.
+    """The full serving stack: registry -> routes -> asyncio HTTP server.
 
     Parameters
     ----------
@@ -559,7 +429,6 @@ class DSEServer:
                  max_batch_size: int = 64, max_wait_ms: float = 2.0,
                  oracle: ExhaustiveOracle | None = None,
                  request_timeout_s: float = 60.0,
-                 log_requests: bool = False,
                  registry: ModelRegistry | str | None = None,
                  model_ids: list[str] | None = None,
                  default_model: str | None = None,
@@ -581,7 +450,6 @@ class DSEServer:
         self.oracle = oracle
         self._oracle_lock = threading.Lock()
         self.request_timeout_s = request_timeout_s
-        self.log_requests = log_requests
         self.started_at = time.time()
         self.max_batch_size = max_batch_size
         self.max_wait_ms = max_wait_ms
@@ -631,18 +499,23 @@ class DSEServer:
             else:
                 raise ValueError("registry has no servable artifacts and no "
                                  "default_model was given")
-        self._make_transport(host, port)
-
-    def _make_transport(self, host: str, port: int) -> None:
-        """Bind the HTTP transport (overridden by the asyncio server)."""
-        self._httpd = _ServingHTTPServer((host, port), self)
+        # Bind now, so `address` names the bound port before start().
+        self._sock = socket.create_server((host, port))
+        self._sock.setblocking(False)
+        self._loop: asyncio.AbstractEventLoop | None = None
+        self._aserver: asyncio.Server | None = None
         self._thread: threading.Thread | None = None
+        self._draining = False
+        # Open connections -> whether a request is being served on each.
+        self._conns: dict[asyncio.StreamWriter, bool] = {}
+        self._started = threading.Event()
+        self._loop_error: BaseException | None = None
 
     # ------------------------------------------------------------------
     @property
     def address(self) -> tuple[str, int]:
         """The actually-bound (host, port)."""
-        return self._httpd.server_address[:2]
+        return self._sock.getsockname()[:2]
 
     @property
     def url(self) -> str:
@@ -781,9 +654,7 @@ class DSEServer:
     # Telemetry
     # ------------------------------------------------------------------
     def metrics_text(self) -> str:
-        """The Prometheus exposition document both transports serve at
-        ``GET /metrics`` (one registry, so the transports are in parity
-        by construction)."""
+        """The Prometheus exposition document served at ``GET /metrics``."""
         return self.metrics.render()
 
     def begin_request_span(self, name: str, header_trace_id: str | None):
@@ -1065,24 +936,39 @@ class DSEServer:
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> "DSEServer":
-        """Start the routes, then serve from a background thread."""
+        """Start the routes, then serve from a background event-loop
+        thread."""
         with self._route_lock:
             self._running = True
             for route in self.routes.values():
                 route.start()
         if self._thread is None:
-            self._thread = threading.Thread(
-                target=self._httpd.serve_forever,
-                name="dse-http-server", daemon=True)
+            self._thread = threading.Thread(target=self._run_loop,
+                                            name="dse-http-server",
+                                            daemon=True)
             self._thread.start()
+            if not self._started.wait(10.0):    # pragma: no cover
+                raise RuntimeError("server event loop did not start")
+            if self._loop_error is not None:    # pragma: no cover
+                raise RuntimeError("server failed to start") \
+                    from self._loop_error
         return self
 
     def shutdown(self) -> None:
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        if self._thread is not None:
-            self._thread.join(10.0)
-            self._thread = None
+        """Graceful drain: stop accepting, let in-flight requests finish
+        (for up to ``_DRAIN_TIMEOUT_S``), then stop the event loop, the
+        routes and the tracer.  Idempotent, and safe before start()."""
+        thread, loop = self._thread, self._loop
+        if thread is not None and thread.is_alive() and loop is not None:
+            try:
+                asyncio.run_coroutine_threadsafe(self._drain(), loop) \
+                    .result(_DRAIN_TIMEOUT_S + 5.0)
+            except Exception:                   # pragma: no cover
+                pass                            # the loop stops regardless
+            loop.call_soon_threadsafe(loop.stop)
+            thread.join(10.0)
+        self._thread = None
+        self._sock.close()
         with self._route_lock:
             self._running = False
             routes = list(self.routes.values())
@@ -1098,3 +984,303 @@ class DSEServer:
 
     def __exit__(self, *exc) -> None:
         self.shutdown()
+
+    def _run_loop(self) -> None:
+        loop = asyncio.new_event_loop()
+        asyncio.set_event_loop(loop)
+        self._loop = loop
+        executor = ThreadPoolExecutor(max_workers=_EXECUTOR_WORKERS,
+                                      thread_name_prefix="dse-http-worker")
+        loop.set_default_executor(executor)
+        try:
+            self._aserver = loop.run_until_complete(asyncio.start_server(
+                self._handle_connection, sock=self._sock,
+                limit=_MAX_LINE_BYTES))
+        except BaseException as exc:            # pragma: no cover
+            self._loop_error = exc
+            self._started.set()
+            loop.close()
+            return
+        self._started.set()
+        try:
+            loop.run_forever()
+        finally:
+            pending = asyncio.all_tasks(loop)
+            for task in pending:
+                task.cancel()
+            if pending:
+                loop.run_until_complete(
+                    asyncio.gather(*pending, return_exceptions=True))
+            loop.close()
+            executor.shutdown(wait=False)
+
+    async def _drain(self) -> None:
+        self._draining = True
+        loop = asyncio.get_running_loop()
+        # Stop accepting, and give connections accepted in this loop
+        # iteration one step to attach to the server: asyncio drops a
+        # connection accepted before close() but attached after it
+        # without closing its socket, and that client would hang.
+        loop.remove_reader(self._sock)
+        await asyncio.sleep(0)
+        # Closing the listener refuses new connections at once.  Open
+        # ones are not waited on here (from Python 3.12, wait_closed()
+        # would wait for idle keep-alive connections too).
+        self._aserver.close()
+        deadline = loop.time() + _DRAIN_TIMEOUT_S
+        while True:
+            await asyncio.sleep(_DRAIN_POLL_S)
+            # Every connection is a task until it closes — including one
+            # accepted just before the listener closed, whose handler has
+            # not registered in _conns yet.  Only this task may remain.
+            if len(asyncio.all_tasks()) == 1 or loop.time() >= deadline:
+                return
+            for writer, busy in list(self._conns.items()):
+                if not busy:        # idle keep-alive: hang up now
+                    writer.close()
+
+    # ------------------------------------------------------------------
+    # HTTP transport
+    # ------------------------------------------------------------------
+    async def _handle_connection(self, reader: asyncio.StreamReader,
+                                 writer: asyncio.StreamWriter) -> None:
+        self._conns[writer] = False
+        try:
+            while True:
+                try:
+                    request = await self._read_request(reader)
+                except _MalformedRequest as exc:
+                    await self._send(writer, exc.status, {"error": str(exc)})
+                    break
+                if request is None:
+                    break
+                method, path, version, headers = request
+                self._conns[writer] = True
+                try:
+                    keep_alive = await self._dispatch(writer, reader,
+                                                      method, path, headers)
+                finally:
+                    self._conns[writer] = False
+                connection = headers.get("connection", "").lower()
+                if not keep_alive or self._draining or connection == "close" \
+                        or (version == "HTTP/1.0"
+                            and connection != "keep-alive"):
+                    break
+        except (ConnectionError, asyncio.IncompleteReadError,
+                asyncio.CancelledError):
+            pass
+        finally:
+            self._conns.pop(writer, None)
+            try:
+                writer.close()
+                await writer.wait_closed()
+            except (ConnectionError, OSError, asyncio.CancelledError):
+                pass
+
+    @staticmethod
+    async def _read_request(reader: asyncio.StreamReader):
+        """One request line and its headers, or ``None`` at EOF.
+
+        Raises :class:`_MalformedRequest` for a head that cannot be
+        served: a bad request line (400), a line longer than the stream
+        limit (414 for the request line, 431 for a header) or more than
+        ``_MAX_HEADERS`` headers (431).
+        """
+        try:
+            line = await reader.readline()
+        except ValueError:                  # over the reader's line limit
+            raise _MalformedRequest(
+                414, f"request line longer than {_MAX_LINE_BYTES} bytes") \
+                from None
+        text = line.decode("latin-1").strip()
+        if not text:
+            return None
+        parts = text.split()
+        if len(parts) != 3 or not parts[2].startswith("HTTP/"):
+            raise _MalformedRequest(400, f"malformed request line "
+                                         f"{text[:80]!r}")
+        headers: dict[str, str] = {}
+        for _ in range(_MAX_HEADERS + 1):
+            try:
+                hline = await reader.readline()
+            except ValueError:
+                raise _MalformedRequest(
+                    431, f"header line longer than {_MAX_LINE_BYTES} "
+                         f"bytes") from None
+            if hline in (b"\r\n", b"\n", b""):
+                return parts[0], parts[1], parts[2], headers
+            name, _, value = hline.decode("latin-1").partition(":")
+            headers[name.strip().lower()] = value.strip()
+        raise _MalformedRequest(431, f"more than {_MAX_HEADERS} headers")
+
+    @staticmethod
+    async def _read_json_body(reader: asyncio.StreamReader,
+                              writer: asyncio.StreamWriter,
+                              headers: dict[str, str]):
+        try:
+            length = int(headers.get("content-length", 0))
+        except (TypeError, ValueError):
+            raise _BadRequest("invalid Content-Length header") from None
+        if length <= 0 or length > _MAX_BODY_BYTES:
+            raise _BadRequest(f"Content-Length required (max "
+                              f"{_MAX_BODY_BYTES} bytes)")
+        if headers.get("expect", "").lower() == "100-continue":
+            writer.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+        body = await reader.readexactly(length)
+        try:
+            return json.loads(body)
+        except json.JSONDecodeError as exc:
+            raise _BadRequest(f"invalid JSON: {exc}") from None
+
+    async def _send(self, writer: asyncio.StreamWriter, status: int, doc,
+                    extra_headers=(),
+                    content_type: str = "application/json") -> bool:
+        """Write one response (``doc`` is JSON-encoded unless already
+        bytes); returns whether to keep the connection alive.  Error
+        responses close it: their request body may be unread, and under
+        keep-alive those bytes would desync the next request."""
+        body = doc if isinstance(doc, bytes) else json.dumps(doc).encode()
+        close = status >= 400 or self._draining
+        headers = [("Content-Type", content_type),
+                   ("Content-Length", str(len(body))), *extra_headers]
+        if close:
+            headers.append(("Connection", "close"))
+        writer.write(_head(status, headers) + body)
+        await writer.drain()
+        return not close
+
+    async def _dispatch(self, writer, reader, method: str, path: str,
+                        headers: dict[str, str]) -> bool:
+        loop = asyncio.get_running_loop()
+        span = None
+        trace_headers: list[tuple[str, str]] = []
+        try:
+            if method == "GET":
+                if path == "/healthz":
+                    return await self._send(writer, 200, {
+                        "status": "ok",
+                        "uptime_s": time.time() - self.started_at})
+                if path == "/stats":
+                    doc = await loop.run_in_executor(None,
+                                                     self.stats_snapshot)
+                    return await self._send(writer, 200, doc)
+                if path == "/models":
+                    doc = await loop.run_in_executor(None,
+                                                     self.models_snapshot)
+                    return await self._send(writer, 200, doc)
+                if path == "/metrics":
+                    text = await loop.run_in_executor(None,
+                                                      self.metrics_text)
+                    return await self._send(
+                        writer, 200, text.encode(),
+                        content_type=_METRICS_CONTENT_TYPE)
+            if method != "POST" or path not in ("/predict", "/sweep"):
+                return await self._send(writer, 404, {
+                    "error": f"unknown route {method} {path!r}"})
+            span = self.begin_request_span(f"http.{path[1:]}",
+                                           headers.get("x-trace-id"))
+            if span is not None:
+                trace_headers.append(("X-Trace-Id", span.trace_id))
+            doc = await self._read_json_body(reader, writer, headers)
+            if self._draining:
+                return await self._send(writer, 503, {
+                    "error": "server is draining; request rejected"},
+                    trace_headers)
+            if path == "/predict":
+                # The inner future wait already enforces
+                # request_timeout_s; the outer wait_for is the backstop
+                # for blocking work outside a future (oracle, engine).
+                # self.handle_predict is looked up per request, so a
+                # wrapper installed on the class sees every call.
+                trace = span.context if span is not None else None
+                result = await asyncio.wait_for(
+                    loop.run_in_executor(
+                        None, lambda: self.handle_predict(doc, trace=trace)),
+                    self.request_timeout_s + 1.0)
+                return await self._send(writer, 200, result, trace_headers)
+            return await self._stream_sweep(writer, doc, trace_headers)
+        except (ConnectionError, asyncio.IncompleteReadError):
+            if span is not None:
+                span.status = "error"
+            return False
+        except _NotFound as exc:
+            return await self._send(writer, 404, {"error": str(exc)},
+                                    trace_headers)
+        except _Backpressure as exc:
+            return await self._send(
+                writer, 429, {"error": str(exc)},
+                [("Retry-After", exc.retry_after_header)] + trace_headers)
+        except _ServiceUnavailable as exc:
+            return await self._send(
+                writer, 503, {"error": str(exc)},
+                [("Retry-After", exc.retry_after_header)] + trace_headers)
+        except _RequestTimeout as exc:
+            self.record_error()
+            return await self._send(writer, 504, {"error": str(exc)},
+                                    trace_headers)
+        except asyncio.TimeoutError:
+            self.record_error()
+            return await self._send(writer, 504, {
+                "error": f"request timed out after "
+                         f"{self.request_timeout_s:g}s"}, trace_headers)
+        except _BadRequest as exc:
+            return await self._send(writer, 400, {"error": str(exc)},
+                                    trace_headers)
+        except Exception as exc:    # pragma: no cover - defensive 500 path
+            self.record_error()
+            return await self._send(writer, 500, {
+                "error": f"{type(exc).__name__}: {exc}"}, trace_headers)
+        finally:
+            if span is not None:
+                span.end()
+
+    async def _stream_sweep(self, writer, doc, trace_headers=()) -> bool:
+        """Send the sweep as a chunked NDJSON response.
+
+        Each document is one ndjson line in its own HTTP chunk, written
+        as soon as an executor thread computes it — the client reads
+        chunk K while the server computes chunk K+1.  Validation and
+        admission errors raise before the response commits (the caller
+        turns them into clean statuses); a failure mid-stream appends an
+        ``{"error": ...}`` line and closes the connection, and a client
+        hang-up closes the generator, which releases the admission slot.
+        """
+        loop = asyncio.get_running_loop()
+        chunks = await asyncio.wait_for(
+            loop.run_in_executor(None, self.prepare_sweep, doc),
+            self.request_timeout_s + 1.0)
+        writer.write(_head(200, [("Content-Type", "application/x-ndjson"),
+                                 ("Transfer-Encoding", "chunked"),
+                                 *trace_headers]))
+        sentinel = object()
+        try:
+            while True:
+                item = await asyncio.wait_for(
+                    loop.run_in_executor(None, next, chunks, sentinel),
+                    self.request_timeout_s + 1.0)
+                if item is sentinel:
+                    break
+                self._write_chunk(writer, item)
+                await writer.drain()
+            writer.write(b"0\r\n\r\n")
+            await writer.drain()
+            return not self._draining
+        except (ConnectionError, asyncio.IncompleteReadError):
+            return False
+        except Exception as exc:    # mid-stream failure: error line + close
+            self.record_error()
+            try:
+                self._write_chunk(
+                    writer, {"error": f"{type(exc).__name__}: {exc}"})
+                writer.write(b"0\r\n\r\n")
+                await writer.drain()
+            except (ConnectionError, OSError):
+                pass
+            return False
+        finally:
+            await loop.run_in_executor(None, chunks.close)
+
+    @staticmethod
+    def _write_chunk(writer: asyncio.StreamWriter, doc: dict) -> None:
+        data = json.dumps(doc).encode() + b"\n"
+        writer.write(f"{len(data):X}\r\n".encode() + data + b"\r\n")

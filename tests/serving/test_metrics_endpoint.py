@@ -1,5 +1,4 @@
-"""/metrics exposition, /stats compatibility, and end-to-end tracing
-on both HTTP front-ends."""
+"""/metrics exposition, /stats compatibility, and end-to-end tracing."""
 
 from __future__ import annotations
 
@@ -11,7 +10,7 @@ import urllib.request
 
 import pytest
 
-from repro.serving import AsyncDSEServer, DSEServer
+from repro.serving import DSEServer
 from repro.serving.stats import ServingStats
 
 _SERIES_RE = re.compile(r"^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[^}]*\})? ")
@@ -34,14 +33,6 @@ def server(serve_model):
         yield srv
 
 
-@pytest.fixture
-def async_server(serve_model):
-    srv = AsyncDSEServer(serve_model, port=0, max_batch_size=16,
-                         max_wait_ms=2)
-    with srv:
-        yield srv
-
-
 def _get_raw(server, path):
     with urllib.request.urlopen(server.url + path, timeout=10) as resp:
         return resp.status, dict(resp.headers), resp.read()
@@ -52,18 +43,6 @@ def _post(server, path, doc):
                                  data=json.dumps(doc).encode())
     with urllib.request.urlopen(req, timeout=30) as resp:
         return resp.status, dict(resp.headers), json.loads(resp.read())
-
-
-def _series_names(text: str) -> set[str]:
-    """Every ``name{labels}`` series identifier in an exposition body."""
-    names = set()
-    for line in text.splitlines():
-        if line.startswith("#") or not line.strip():
-            continue
-        match = _SERIES_RE.match(line)
-        assert match, f"unparseable series line: {line!r}"
-        names.add(match.group(1) + (match.group(2) or ""))
-    return names
 
 
 def _wait_for_spans(tracer, trace_id, names, timeout=5.0):
@@ -104,16 +83,6 @@ class TestMetricsEndpoint:
                  if line and not line.startswith("#")]
         assert len(lines) == len(set(lines))
 
-    def test_transport_parity_identical_series(self, server, async_server):
-        """Both transports render the same registry surface: the series
-        identifiers (names + labels) must match exactly."""
-        _post(server, "/predict", {"m": 8, "n": 8, "k": 8})
-        _post(async_server, "/predict", {"m": 8, "n": 8, "k": 8})
-        _, _, threaded = _get_raw(server, "/metrics")
-        _, _, asynced = _get_raw(async_server, "/metrics")
-        assert _series_names(threaded.decode()) \
-            == _series_names(asynced.decode())
-
 
 class TestStatsCompatibility:
     def test_stats_key_order_unchanged(self, server):
@@ -151,16 +120,13 @@ class TestStatsCompatibility:
 
 
 class TestTracing:
-    @pytest.mark.parametrize("fixture_name", ["server", "async_server"])
-    def test_batcher_request_produces_one_linked_trace(self, request,
-                                                       fixture_name):
+    def test_batcher_request_produces_one_linked_trace(self, server):
         """Acceptance criterion: one batcher-served request yields one
         trace whose front-end, queue-wait, and engine-forward spans all
         share the trace id echoed in ``X-Trace-Id``."""
-        srv = request.getfixturevalue(fixture_name)
-        _, headers, _ = _post(srv, "/predict", {"m": 8, "n": 8, "k": 8})
+        _, headers, _ = _post(server, "/predict", {"m": 8, "n": 8, "k": 8})
         trace_id = headers["X-Trace-Id"]
-        spans = _wait_for_spans(srv.tracer, trace_id,
+        spans = _wait_for_spans(server.tracer, trace_id,
                                 {"http.predict", "queue.wait",
                                  "engine.forward"})
         names = [s["name"] for s in spans]

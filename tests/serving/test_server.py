@@ -1,9 +1,14 @@
-"""End-to-end HTTP smoke tests against an ephemeral-port DSEServer."""
+"""End-to-end HTTP tests against an ephemeral-port DSEServer: endpoints,
+routing, streaming, keep-alive, admission control (429), timeouts (504),
+malformed HTTP, client hang-ups and graceful drain."""
 
 from __future__ import annotations
 
+import http.client
 import json
+import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -13,6 +18,7 @@ import pytest
 from repro.core import AirchitectV2, DSEPredictor
 from repro.registry import ModelRegistry
 from repro.serving import DSEServer
+from repro.serving.server import _DRAIN_TIMEOUT_S
 
 from .conftest import SERVE_MODEL_CONFIG
 
@@ -39,12 +45,13 @@ def _get(server: DSEServer, path: str) -> tuple[int, dict]:
         return err.code, json.loads(err.read())
 
 
-def _post(server: DSEServer, path: str, doc) -> tuple[int, dict]:
+def _post(server: DSEServer, path: str, doc,
+          timeout: float = 30) -> tuple[int, dict]:
     body = json.dumps(doc).encode()
     req = urllib.request.Request(server.url + path, data=body,
                                  headers={"Content-Type": "application/json"})
     try:
-        with urllib.request.urlopen(req, timeout=30) as resp:
+        with urllib.request.urlopen(req, timeout=timeout) as resp:
             return resp.status, json.loads(resp.read())
     except urllib.error.HTTPError as err:
         return err.code, json.loads(err.read())
@@ -170,7 +177,6 @@ class TestErrorHandling:
         assert _post(server, "/nope", {})[0] == 404
 
     def test_bad_content_length_400(self, server):
-        import http.client
         host, port = server.address
         conn = http.client.HTTPConnection(host, port, timeout=10)
         try:
@@ -186,7 +192,6 @@ class TestErrorHandling:
     def test_error_responses_close_keepalive_connections(self, server):
         """A 400 sent before the body was drained must not leave unread
         bytes to desync the next request on a persistent connection."""
-        import http.client
         host, port = server.address
         conn = http.client.HTTPConnection(host, port, timeout=10)
         try:
@@ -446,6 +451,15 @@ class TestSweepStreaming:
         assert stats["sweep_rows_total"] == 250
         assert stats["sweep_chunks_total"] == 4
 
+    def test_sweep_content_type_and_ndjson_framing(self, server):
+        with self._post_sweep(server, {"random": 40, "seed": 3,
+                                       "chunk_size": 16}) as resp:
+            assert resp.headers["Content-Type"] == "application/x-ndjson"
+            lines = [json.loads(line) for line in resp.read().splitlines()]
+        assert lines[0]["chunks"] == 3
+        assert [c["count"] for c in lines[1:-1]] == [16, 16, 8]
+        assert lines[-1]["done"]
+
     def test_first_chunk_arrives_before_sweep_completes(self, server):
         """The streaming contract: chunk 1 is readable while the server has
         not even *started* computing chunk 2 (gated engine proves it)."""
@@ -507,3 +521,380 @@ class TestSweepStreaming:
         status, doc = _post(server, "/sweep", {"random": 8, "model": "ghost"})
         assert status == 404
         assert "ghost" in doc["error"]
+
+
+def _raw_exchange(server: DSEServer, data: bytes) -> bytes:
+    """Send raw bytes on a fresh connection; everything read until the
+    server closes it."""
+    with socket.create_connection(server.address, timeout=10) as sock:
+        sock.sendall(data)
+        received = b""
+        while chunk := sock.recv(65536):
+            received += chunk
+    return received
+
+
+class TestRawHTTP:
+    """Request heads over raw sockets.  An unparseable one gets a JSON
+    error and a closed connection, never a silent hang-up."""
+
+    @pytest.mark.parametrize("data, status", [
+        (b"GARBAGE\r\n\r\n", 400),
+        (b"GET\r\n\r\n", 400),
+        (b"GET /healthz HTTP/1.1\r\nX-Big: " + b"a" * 70_000
+         + b"\r\n\r\n", 431),
+        (b"GET /healthz HTTP/1.1\r\n"
+         + b"".join(b"X-H%d: v\r\n" % i for i in range(500)) + b"\r\n",
+         431),
+        (b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n", 414),
+    ], ids=["garbage", "no-path", "long-header", "too-many-headers",
+            "long-request-line"])
+    def test_malformed_head_gets_json_error_and_close(self, server, data,
+                                                      status):
+        head, _, body = _raw_exchange(server, data).partition(b"\r\n\r\n")
+        lines = head.decode("latin-1").split("\r\n")
+        assert lines[0].startswith(f"HTTP/1.1 {status} ")
+        assert "Connection: close" in lines[1:]
+        assert "Content-Type: application/json" in lines[1:]
+        assert json.loads(body)["error"]
+        assert _get(server, "/healthz")[0] == 200
+
+    def test_one_hundred_headers_are_accepted(self, server):
+        data = (b"GET /healthz HTTP/1.1\r\nConnection: close\r\n"
+                + b"".join(b"X-H%d: v\r\n" % i for i in range(99)) + b"\r\n")
+        assert _raw_exchange(server, data).startswith(b"HTTP/1.1 200 ")
+
+    def test_http10_request_gets_its_connection_closed(self, server):
+        reply = _raw_exchange(server, b"GET /healthz HTTP/1.0\r\n\r\n")
+        assert reply.startswith(b"HTTP/1.1 200 ")
+
+    def test_expect_100_continue_gets_an_interim_response(self, server):
+        body = json.dumps({"m": 8, "n": 8, "k": 8}).encode()
+        with socket.create_connection(server.address, timeout=10) as sock:
+            sock.sendall(b"POST /predict HTTP/1.1\r\nConnection: close\r\n"
+                         b"Expect: 100-continue\r\nContent-Length: "
+                         + str(len(body)).encode() + b"\r\n\r\n")
+            assert sock.recv(64) == b"HTTP/1.1 100 Continue\r\n\r\n"
+            sock.sendall(body)
+            reply = b""
+            while chunk := sock.recv(65536):
+                reply += chunk
+        assert reply.startswith(b"HTTP/1.1 200 ")
+        assert json.loads(reply.partition(b"\r\n\r\n")[2])["count"] == 1
+
+    def test_partial_body_then_hangup_leaves_server_serving(self, server):
+        with socket.create_connection(server.address, timeout=10) as sock:
+            sock.sendall(b"POST /predict HTTP/1.1\r\nContent-Length: 100"
+                         b"\r\n\r\n{\"m\": 8")
+        assert _get(server, "/healthz")[0] == 200
+        assert _post(server, "/predict", {"m": 8, "n": 8, "k": 8})[0] == 200
+        assert server._route(None).inflight == 0
+
+
+class TestKeepAlive:
+    def test_sequential_requests_reuse_one_connection(self, server):
+        host, port = server.address
+        conn = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            for _ in range(3):
+                body = json.dumps({"m": 8, "n": 8, "k": 8})
+                conn.request("POST", "/predict", body)
+                resp = conn.getresponse()
+                assert resp.status == 200
+                assert json.loads(resp.read())["count"] == 1
+        finally:
+            conn.close()
+
+
+class _Gate:
+    """Patch a route's engine so forward passes block until released."""
+
+    def __init__(self, route):
+        self.route = route
+        self.real = route.engine.predict_indices
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        route.engine.predict_indices = self._gated
+
+    def _gated(self, inputs):
+        self.entered.set()
+        assert self.release.wait(30), "test never released the gate"
+        return self.real(inputs)
+
+    def restore(self):
+        self.release.set()
+        self.route.engine.predict_indices = self.real
+
+
+class TestBackpressure:
+    def test_saturated_route_answers_429_with_retry_after(self, serve_model):
+        srv = DSEServer(serve_model, port=0, max_batch_size=4,
+                        max_wait_ms=1, max_queue=1, retry_after_s=2.0)
+        gate = _Gate(srv._route(None))
+        with srv:
+            try:
+                results = {}
+
+                def occupant():
+                    results["first"] = _post(srv, "/predict",
+                                             {"m": 8, "n": 8, "k": 8})
+
+                thread = threading.Thread(target=occupant)
+                thread.start()
+                assert gate.entered.wait(10)    # slot held mid-forward-pass
+                status, doc = _post(srv, "/predict",
+                                    {"m": 16, "n": 16, "k": 16})
+                assert status == 429
+                assert "admission queue is full" in doc["error"]
+                assert "max_queue=1" in doc["error"]
+                # And the header itself, via a raw connection.
+                host, port = srv.address
+                conn = http.client.HTTPConnection(host, port, timeout=10)
+                try:
+                    conn.request("POST", "/predict",
+                                 json.dumps({"m": 8, "n": 8, "k": 8}))
+                    resp = conn.getresponse()
+                    assert resp.status == 429
+                    assert resp.getheader("Retry-After") == "2"
+                    resp.read()
+                finally:
+                    conn.close()
+                gate.restore()
+                thread.join(10)
+                assert results["first"][0] == 200
+                # Load subsided: the route admits again.
+                assert _post(srv, "/predict",
+                             {"m": 8, "n": 8, "k": 8})[0] == 200
+            finally:
+                gate.restore()
+
+    def test_rejected_requests_never_reach_the_batcher(self, serve_model):
+        srv = DSEServer(serve_model, port=0, max_batch_size=4,
+                        max_wait_ms=1, max_queue=1)
+        route = srv._route(None)
+        gate = _Gate(route)
+        with srv:
+            try:
+                thread = threading.Thread(
+                    target=_post, args=(srv, "/predict",
+                                        {"m": 8, "n": 8, "k": 8}))
+                thread.start()
+                assert gate.entered.wait(10)
+                for _ in range(3):
+                    assert _post(srv, "/predict",
+                                 {"m": 8, "n": 8, "k": 8})[0] == 429
+                gate.restore()
+                thread.join(10)
+            finally:
+                gate.restore()
+        # Only the admitted request was ever counted.
+        assert route.stats.requests_total == 1
+
+
+class TestRequestTimeout:
+    def test_slow_route_answers_504(self, serve_model):
+        srv = DSEServer(serve_model, port=0, max_batch_size=4,
+                        max_wait_ms=1, request_timeout_s=0.3)
+        gate = _Gate(srv._route(None))
+        with srv:
+            try:
+                status, doc = _post(srv, "/predict",
+                                    {"m": 8, "n": 8, "k": 8})
+                assert status == 504
+                assert "timed out" in doc["error"]
+            finally:
+                gate.restore()
+
+    def test_timeout_counts_as_an_error_in_stats(self, serve_model):
+        srv = DSEServer(serve_model, port=0, max_batch_size=4,
+                        max_wait_ms=1, request_timeout_s=0.3)
+        gate = _Gate(srv._route(None))
+        with srv:
+            try:
+                _post(srv, "/predict", {"m": 8, "n": 8, "k": 8})
+                gate.restore()
+                assert _get(srv, "/stats")[1]["errors_total"] >= 1
+            finally:
+                gate.restore()
+
+
+class TestStatsLatency:
+    def test_per_route_latency_percentiles(self, server):
+        for i in range(5):
+            _post(server, "/predict", {"m": 8 + i, "n": 8, "k": 8})
+        _, stats = _get(server, "/stats")
+        latency = stats["models"]["default"]["latency"]
+        assert latency["count"] == 5
+        assert 0 < latency["p50_ms"] <= latency["p95_ms"] \
+            <= latency["p99_ms"]
+        assert latency["p99_ms"] <= latency["max_ms"] * 1.26
+        # The aggregate view merges the per-route buckets.
+        assert stats["latency"]["count"] == 5
+        assert stats["models"]["default"]["inflight"] == 0
+
+
+class TestSweepHangup:
+    """A /sweep client that hangs up mid-response releases its admission
+    slot, stops the engine within a few chunks and leaves the breaker
+    closed (a hang-up is neither an engine success nor a failure)."""
+
+    BODY = json.dumps({"random": 200_000, "chunk_size": 256}).encode()
+    CHUNKS = -(-200_000 // 256)
+
+    @pytest.mark.parametrize("phase", ["before-header", "after-header",
+                                       "after-chunk-0"])
+    def test_hangup_releases_the_route(self, server, phase):
+        route = server._route(None)
+        calls = []
+        real = route.engine.predict_indices
+        released = threading.Event()
+        real_release = route.release
+
+        def counted(inputs):
+            calls.append(len(inputs))
+            return real(inputs)
+
+        def release():
+            real_release()
+            released.set()
+
+        route.engine.predict_indices = counted
+        route.release = release
+        try:
+            host, port = server.address
+            if phase == "before-header":
+                with socket.create_connection((host, port),
+                                              timeout=10) as sock:
+                    sock.sendall(b"POST /sweep HTTP/1.1\r\nContent-Length: "
+                                 + str(len(self.BODY)).encode()
+                                 + b"\r\n\r\n" + self.BODY)
+            else:
+                conn = http.client.HTTPConnection(host, port, timeout=30)
+                conn.request("POST", "/sweep", self.BODY)
+                resp = conn.getresponse()
+                assert resp.status == 200
+                if phase == "after-chunk-0":
+                    assert json.loads(resp.readline())["chunks"] \
+                        == self.CHUNKS
+                    assert json.loads(resp.readline())["chunk"] == 0
+                resp.close()
+                conn.close()
+            assert released.wait(2.0)
+            assert route.inflight == 0
+            stopped_at = len(calls)
+            time.sleep(0.2)
+            assert len(calls) == stopped_at     # the engine really stopped
+            assert stopped_at <= 32
+        finally:
+            route.engine.predict_indices = real
+            route.release = real_release
+        assert route.breaker.state == "closed"
+        assert _post(server, "/predict", {"m": 8, "n": 8, "k": 8})[0] == 200
+
+
+class TestGracefulDrain:
+    def test_inflight_completes_and_new_requests_are_rejected(
+            self, serve_model):
+        # max_queue=1: polls that sneak in before the listener closes
+        # answer 429 instantly instead of queueing behind the gate.
+        srv = DSEServer(serve_model, port=0, max_batch_size=4,
+                        max_wait_ms=1, max_queue=1)
+        gate = _Gate(srv._route(None))
+        srv.start()
+        results = {}
+        try:
+            def inflight():
+                results["inflight"] = _post(srv, "/predict",
+                                            {"m": 8, "n": 8, "k": 8})
+
+            client = threading.Thread(target=inflight)
+            client.start()
+            assert gate.entered.wait(10)        # request is mid-engine
+            shutter = threading.Thread(target=srv.shutdown)
+            shutter.start()
+            deadline = time.perf_counter() + 10.0
+            refused = False
+            while time.perf_counter() < deadline and not refused:
+                try:
+                    # New connections are refused once draining starts.
+                    # Short client timeout: a connect that races into the
+                    # closing listener's accept backlog is never served
+                    # (orphaned, not reset) — that hang is also rejection.
+                    _post(srv, "/predict", {"m": 8, "n": 8, "k": 8},
+                          timeout=2)
+                    time.sleep(0.05)
+                except (ConnectionError, OSError, urllib.error.URLError):
+                    refused = True      # TimeoutError is an OSError too
+            assert refused
+            gate.restore()                      # let the in-flight finish
+            client.join(15)
+            shutter.join(15)
+            assert not shutter.is_alive()
+            assert results["inflight"][0] == 200
+        finally:
+            gate.restore()
+            srv.shutdown()
+
+    def test_shutdown_during_a_burst_answers_or_refuses_every_client(
+            self, serve_model):
+        srv = DSEServer(serve_model, port=0, max_batch_size=8,
+                        max_wait_ms=1)
+        srv.start()
+        host, port = srv.address
+        body = json.dumps({"m": 8, "n": 8, "k": 8})
+        outcomes: list = []
+        answered = threading.Semaphore(0)
+
+        def client():
+            while True:
+                conn = http.client.HTTPConnection(host, port, timeout=10)
+                try:
+                    conn.request("POST", "/predict", body)
+                    resp = conn.getresponse()
+                    resp.read()
+                    outcomes.append(resp.status)
+                    answered.release()
+                except ConnectionError as exc:  # refused or reset: done
+                    outcomes.append(exc)
+                    return
+                except OSError as exc:          # e.g. a client timeout
+                    outcomes.append(exc)
+                    return
+                finally:
+                    conn.close()
+
+        clients = [threading.Thread(target=client) for _ in range(16)]
+        try:
+            for thread in clients:
+                thread.start()
+            for _ in range(32):                 # the burst is under way
+                assert answered.acquire(timeout=10)
+            begin = time.perf_counter()
+            srv.shutdown()
+            assert time.perf_counter() - begin < _DRAIN_TIMEOUT_S + 5.0
+            for thread in clients:
+                thread.join(15)
+            assert not any(thread.is_alive() for thread in clients)
+        finally:
+            srv.shutdown()
+        bad = [o for o in outcomes
+               if o not in (200, 503) and not isinstance(o, ConnectionError)]
+        assert not bad, bad
+
+    def test_shutdown_closes_the_trace_sink(self, serve_model, tmp_path):
+        srv = DSEServer(serve_model, port=0,
+                        trace_file=str(tmp_path / "spans.ndjson"))
+        srv.start()
+        assert _post(srv, "/predict", {"m": 8, "n": 8, "k": 8})[0] == 200
+        srv.shutdown()
+        assert srv.tracer._sink_file is None
+
+    def test_shutdown_is_idempotent(self, serve_model):
+        srv = DSEServer(serve_model, port=0)
+        srv.start()
+        srv.shutdown()
+        srv.shutdown()
+
+    def test_shutdown_without_start(self, serve_model):
+        srv = DSEServer(serve_model, port=0)
+        srv.shutdown()
