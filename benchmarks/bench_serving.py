@@ -100,8 +100,7 @@ def _drive_clients(n_clients: int, requests_per_client: int, inputs,
 
 
 def run_bench(clients: int = 16, requests_per_client: int = 64,
-              max_batch_size: int = 64, max_wait_ms: float = 2.0,
-              seed: int = 0) -> dict:
+              max_batch_size: int = 64, seed: int = 0) -> dict:
     problem = DSEProblem()
     rng = np.random.default_rng(seed)
     model = AirchitectV2(ModelConfig(), problem, rng)
@@ -120,8 +119,7 @@ def run_bench(clients: int = 16, requests_per_client: int = 64,
     # Dynamic batcher: the same fleet, requests coalesced into batches.
     stats = ServingStats()
     engine = BatchedDSEPredictor(model, on_batch=stats.record_forward)
-    with DynamicBatcher(engine, max_batch_size=max_batch_size,
-                        max_wait_ms=max_wait_ms, stats=stats,
+    with DynamicBatcher(engine, max_batch_size=max_batch_size, stats=stats,
                         start=True) as batcher:
         def one(row):
             served = batcher.predict(*map(int, row), timeout=60)
@@ -139,7 +137,6 @@ def run_bench(clients: int = 16, requests_per_client: int = 64,
             "requests_per_client": requests_per_client,
             "requests_total": total,
             "max_batch_size": max_batch_size,
-            "max_wait_ms": max_wait_ms,
             "loop_elapsed_s": loop_elapsed,
             "batched_elapsed_s": batched_elapsed,
             "loop_requests_per_sec": loop_rps,
@@ -153,8 +150,8 @@ def run_bench(clients: int = 16, requests_per_client: int = 64,
 
 
 def run_obs_overhead(clients: int = 16, requests_per_client: int = 64,
-                     max_batch_size: int = 64, max_wait_ms: float = 2.0,
-                     rounds: int = 3, seed: int = 0) -> dict:
+                     max_batch_size: int = 64, rounds: int = 3,
+                     seed: int = 0) -> dict:
     """The instrumentation gate of the telemetry layer (PR 7).
 
     One concurrent-client fleet drives the batcher with *interleaved*
@@ -166,7 +163,7 @@ def run_obs_overhead(clients: int = 16, requests_per_client: int = 64,
     their median latencies is a *paired* measurement: drift and jitter
     cancel, leaving the per-request cost of carrying a trace.  Separate
     all-plain/all-traced drives were hopeless here — a dynamic batcher
-    quantizes latency into flush cycles, so microsecond perturbations
+    quantizes latency into engine passes, so microsecond perturbations
     chaotically shift which cycle a request lands in and wall-clock
     differences of either sign dwarf the instrumentation under test.
     """
@@ -183,8 +180,7 @@ def run_obs_overhead(clients: int = 16, requests_per_client: int = 64,
 
     stats = ServingStats()
     engine = BatchedDSEPredictor(model, on_batch=stats.record_forward)
-    with DynamicBatcher(engine, max_batch_size=max_batch_size,
-                        max_wait_ms=max_wait_ms, stats=stats,
+    with DynamicBatcher(engine, max_batch_size=max_batch_size, stats=stats,
                         start=True) as batcher:
         counter = {"i": 0}
 
@@ -227,7 +223,7 @@ def run_obs_overhead(clients: int = 16, requests_per_client: int = 64,
 
 
 def run_sustained(duration_s: float = 5.0, clients: int = 8,
-                  max_batch_size: int = 64, max_wait_ms: float = 2.0,
+                  max_batch_size: int = 64,
                   p99_limit_s: float = P99_LIMIT_S, seed: int = 0) -> dict:
     """Sustained load against the HTTP front-end: keep-alive client
     fleet, client-observed p50/p95/p99, server-side ``/stats`` histogram."""
@@ -241,8 +237,7 @@ def run_sustained(duration_s: float = 5.0, clients: int = 8,
     non_200 = [0] * clients
     stop = threading.Event()
 
-    server = DSEServer(model, port=0, max_batch_size=max_batch_size,
-                       max_wait_ms=max_wait_ms)
+    server = DSEServer(model, port=0, max_batch_size=max_batch_size)
     with server:
         host, port = server.address
 
@@ -307,8 +302,7 @@ def run_saturation(seed: int = 0) -> dict:
     problem = DSEProblem()
     rng = np.random.default_rng(seed)
     model = AirchitectV2(ModelConfig(), problem, rng)
-    server = DSEServer(model, port=0, max_batch_size=4, max_wait_ms=1,
-                       max_queue=2, retry_after_s=1.0)
+    server = DSEServer(model, port=0, max_batch_size=4, max_queue=2, retry_after_s=1.0)
     route = server._route(None)
     real = route.engine.predict_indices
 
@@ -473,7 +467,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--clients", type=int, default=16)
     parser.add_argument("--requests-per-client", type=int, default=64)
     parser.add_argument("--max-batch-size", type=int, default=64)
-    parser.add_argument("--max-wait-ms", type=float, default=2.0)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--duration", type=float, default=5.0,
                         help="sustained-load window in seconds (default 5)")
@@ -496,19 +489,17 @@ def main(argv: list[str] | None = None) -> int:
         result = run_bench(clients=args.clients,
                            requests_per_client=args.requests_per_client,
                            max_batch_size=args.max_batch_size,
-                           max_wait_ms=args.max_wait_ms, seed=args.seed)
+                           seed=args.seed)
         result["sustained"] = run_sustained(duration_s=args.duration,
                                             clients=args.clients,
                                             max_batch_size=args.max_batch_size,
-                                            max_wait_ms=args.max_wait_ms,
                                             p99_limit_s=args.p99_limit,
                                             seed=args.seed)
         result["saturation"] = run_saturation(seed=args.seed)
         result["observability"] = run_obs_overhead(
             clients=args.clients,
             requests_per_client=args.requests_per_client,
-            max_batch_size=args.max_batch_size,
-            max_wait_ms=args.max_wait_ms, seed=args.seed)
+            max_batch_size=args.max_batch_size, seed=args.seed)
         result["faults"] = run_fault_overhead(seed=args.seed)
     text = json.dumps(result, indent=2)
     print(text)

@@ -91,8 +91,7 @@ def phase_self_healing_sweep() -> None:
     # crash fires in exactly one worker, once.
     with inject_faults({"pool.worker_crash": 1}):
         server = DSEServer(_tiny_model(), port=0, sweep_workers=2,
-                           shard_timeout_s=5.0, max_batch_size=16,
-                           max_wait_ms=2)
+                           shard_timeout_s=5.0, max_batch_size=16)
         with server:
             chaotic = _sweep_predictions(server)
             text = _scrape(server)
@@ -127,8 +126,7 @@ def phase_self_healing_sweep() -> None:
 def phase_circuit_breaker() -> None:
     with inject_faults({"engine.transient_error": 2}):
         server = DSEServer(_tiny_model(), port=0, breaker_threshold=2,
-                           breaker_reset_s=0.5, max_batch_size=16,
-                           max_wait_ms=2)
+                           breaker_reset_s=0.5, max_batch_size=16)
         with server:
             for attempt in (1, 2):
                 status, doc, _ = _post(server, "/predict", WORKLOAD)

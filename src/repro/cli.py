@@ -13,7 +13,7 @@ Examples::
     python -m repro predict --batch --input layers.csv
 
     # HTTP serving with dynamic batching and a persistent oracle cache:
-    python -m repro serve --port 8080 --max-batch-size 64 --max-wait-ms 2 \\
+    python -m repro serve --port 8080 --max-batch-size 64 \\
         --oracle-cache .repro_cache/oracle_cache.npz
 
     # Bounded admission (429 + Retry-After), per-request timeouts (504);
@@ -473,11 +473,9 @@ def serve_main(argv: list[str] | None = None) -> int:
                         help="bind port; 0 picks an ephemeral port "
                              "(default 8080)")
     parser.add_argument("--max-batch-size", type=int, default=64,
-                        help="flush a coalesced batch at this many requests "
+                        help="most queued requests served by one forward "
+                             "pass; the batcher never waits to fill a batch "
                              "(default 64)")
-    parser.add_argument("--max-wait-ms", type=float, default=2.0,
-                        help="flush a partial batch this long after its "
-                             "first request (default 2.0)")
     parser.add_argument("--oracle-cache", metavar="FILE", default=None,
                         help="persistent oracle label-cache snapshot: loaded "
                              "at startup (fingerprint-checked), saved on "
@@ -527,8 +525,6 @@ def serve_main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.max_batch_size < 1:
         parser.error("--max-batch-size must be >= 1")
-    if args.max_wait_ms < 0:
-        parser.error("--max-wait-ms must be >= 0")
     if args.max_models is not None and args.max_models < 1:
         parser.error("--max-models must be >= 1")
     if args.max_queue is not None and args.max_queue < 1:
@@ -554,8 +550,7 @@ def serve_main(argv: list[str] | None = None) -> int:
                   file=sys.stderr)
 
     common = dict(host=args.host, port=args.port,
-                  max_batch_size=args.max_batch_size,
-                  max_wait_ms=args.max_wait_ms, oracle=oracle,
+                  max_batch_size=args.max_batch_size, oracle=oracle,
                   max_models=args.max_models,
                   sweep_workers=args.sweep_workers,
                   max_queue=args.max_queue,
@@ -601,8 +596,7 @@ def serve_main(argv: list[str] | None = None) -> int:
         # client (or signal) reacting to it finds a running server.
         server.start()
         print(f"serving one-shot DSE predictions on http://{host}:{port} "
-              f"(max_batch_size={args.max_batch_size}, "
-              f"max_wait_ms={args.max_wait_ms:g}); Ctrl-C to stop",
+              f"(max_batch_size={args.max_batch_size}); Ctrl-C to stop",
               file=sys.stderr)
         stop.wait()
         print("shutting down", file=sys.stderr)

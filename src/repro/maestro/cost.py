@@ -125,18 +125,30 @@ class CostModel:
     def evaluate_mixed(self, m, n, k, dataflow_idx, pes, l2_kb) -> CostBreakdown:
         """Like :meth:`evaluate` but ``dataflow_idx`` is a per-sample array.
 
-        Internally evaluates all three dataflows and selects per sample.
+        Each dataflow is evaluated only on the samples that use it.  The
+        model is elementwise, so this equals evaluating every dataflow on
+        every sample and selecting per sample, bit for bit.
         """
-        dataflow_idx = np.asarray(dataflow_idx, dtype=np.int64)
-        results = [self.evaluate(m, n, k, df, pes, l2_kb) for df in Dataflow]
+        m, n, k, dataflow_idx, pes, l2_kb = np.broadcast_arrays(
+            np.asarray(m, dtype=np.int64), np.asarray(n, dtype=np.int64),
+            np.asarray(k, dtype=np.int64),
+            np.asarray(dataflow_idx, dtype=np.int64),
+            np.asarray(pes, dtype=np.int64),
+            np.asarray(l2_kb, dtype=np.float64))
+        if ((dataflow_idx < 0) | (dataflow_idx >= len(Dataflow))).any():
+            raise ValueError("dataflow_idx must be in 0.."
+                             f"{len(Dataflow) - 1}")
         out = {}
-        for field in ("latency_cycles", "compute_cycles", "noc_cycles",
-                      "dram_cycles", "overhead_cycles", "energy_pj", "utilization"):
-            stacked = np.stack([np.broadcast_arrays(
-                getattr(r, field), dataflow_idx)[0] for r in results])
-            out[field] = np.take_along_axis(
-                stacked,
-                np.broadcast_to(dataflow_idx, stacked.shape[1:])[None], axis=0)[0]
+        for df in Dataflow:
+            mask = dataflow_idx == df
+            if not mask.any():
+                continue
+            part = self.evaluate(m[mask], n[mask], k[mask], df, pes[mask],
+                                 l2_kb[mask])
+            for field, values in vars(part).items():
+                if field not in out:
+                    out[field] = np.empty(dataflow_idx.shape, values.dtype)
+                out[field][mask] = values
         return CostBreakdown(**out)
 
     # ------------------------------------------------------------------

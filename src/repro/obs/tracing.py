@@ -11,7 +11,7 @@ Design constraints, in order:
 
 * **Cheap when off** — everything checks ``tracer is None`` first; an
   un-traced request costs one attribute read.
-* **Cheap when on** — ids are ``os.urandom`` hex (no uuid machinery),
+* **Cheap when on** — ids are random hex (no uuid machinery),
   finished spans go into a bounded ring (:class:`collections.deque`)
   and, optionally, one ``json.dumps`` line into an append-only NDJSON
   file.  No locks are held during user code.
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import threading
 import time
 from collections import deque
@@ -66,11 +67,12 @@ class Span:
                  "_ended")
 
     def __init__(self, tracer: "Tracer", name: str, trace_id: str,
-                 parent_id: str | None = None, attributes: dict | None = None):
+                 parent_id: str | None = None, attributes: dict | None = None,
+                 span_id: str | None = None):
         self.tracer = tracer
         self.name = name
         self.trace_id = trace_id
-        self.span_id = new_id()
+        self.span_id = span_id or new_id()
         self.parent_id = parent_id
         self.attributes = dict(attributes) if attributes else {}
         self.status = "ok"
@@ -136,17 +138,22 @@ class Tracer:
         self.spans_dropped = 0
 
     # ------------------------------------------------------------------
-    def new_trace_id(self) -> str:
-        return new_id(16)
-
     def span(self, name: str, *, trace_id: str | None = None,
              parent: SpanContext | None = None,
              attributes: dict | None = None) -> Span:
         if parent is not None:
             return Span(self, name, parent.trace_id, parent.span_id,
                         attributes)
-        return Span(self, name, trace_id or self.new_trace_id(),
-                    None, attributes)
+        if trace_id is not None:
+            return Span(self, name, trace_id, None, attributes)
+        # A new trace starts on the request's own thread, before the
+        # request is queued.  Its ids come from one call that keeps the
+        # GIL: os.urandom releases it, and the thread then waits behind
+        # every runnable thread to get it back, which put traced
+        # requests into later batches than untraced ones.  The random
+        # module reseeds in a forked child, so ids stay distinct.
+        ids = f"{random.getrandbits(192):048x}"
+        return Span(self, name, ids[:32], None, attributes, ids[32:])
 
     # ------------------------------------------------------------------
     def _export(self, doc: dict) -> None:

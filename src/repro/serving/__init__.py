@@ -4,8 +4,9 @@ Turns the batched inference engine (:class:`repro.core.BatchedDSEPredictor`)
 into a serving stack:
 
 * :class:`DynamicBatcher` / :class:`RequestQueue` — coalesce concurrent
-  single-workload requests into engine batches (size-or-deadline
-  flush policy, per-request futures);
+  single-workload requests into engine batches (work-conserving:
+  each batch is whatever queued while the engine was busy, up to a cap;
+  per-request futures);
 * :class:`ShardedSweepExecutor` — split huge sweeps across worker
   processes and reassemble the shards in order; with
   :class:`AutoscalePolicy`, worker count and shard size adapt to sweep
@@ -20,7 +21,7 @@ into a serving stack:
   ``GET /metrics``), with per-model :class:`ServingStats` accounting
   (including p50/p95/p99 service latency via :class:`LatencyHistogram`),
   bounded per-route admission (429 + Retry-After), per-request timeouts
-  (504) and graceful drain on shutdown.
+  (504), stalled-request reads (408) and graceful drain on shutdown.
 
 ``python -m repro serve`` is the CLI entry point.
 """

@@ -1,16 +1,19 @@
 """Dynamic request batching: many concurrent clients, one batched engine.
 
 Single-workload prediction requests arrive from arbitrary threads (the
-HTTP front-end runs one thread per connection) and are coalesced into
-batches for :class:`repro.core.BatchedDSEPredictor`:
+HTTP front-end's handler pool) and are coalesced into batches for
+:class:`repro.core.BatchedDSEPredictor`:
 
 * :class:`RequestQueue` — a condition-variable queue whose ``get_batch``
-  blocks for the first request, then keeps collecting until the batch is
-  full or ``max_wait`` has elapsed (the classic size-or-deadline flush
-  policy of serving systems).
+  blocks for the first request, then takes every request already queued
+  (up to the batch cap) without waiting for more.
 * :class:`DynamicBatcher` — a background thread draining the queue: one
   engine forward pass per coalesced batch, results fanned back out
   through per-request :class:`~concurrent.futures.Future`\\ s.
+
+Batching is work-conserving: the engine never idles while a request is
+queued, and requests that arrive while a batch is in the engine form the
+next batch.  Batches therefore grow with the backlog, not with a timer.
 
 Predictions are bit-identical to calling :class:`repro.core.DSEPredictor`
 per request — batching only changes *when* rows reach the model, never
@@ -92,30 +95,19 @@ class RequestQueue:
             self._items.append(item)
             self._cond.notify()
 
-    def get_batch(self, max_size: int, max_wait_s: float) -> list[_Pending] | None:
-        """Next coalesced batch, or ``None`` once closed and drained.
+    def get_batch(self, max_size: int) -> list[_Pending] | None:
+        """Next batch, or ``None`` once closed and drained.
 
-        Blocks indefinitely for the first request; after that, collects
-        until ``max_size`` requests are in hand or ``max_wait_s`` has
-        passed — whichever comes first.
+        Blocks indefinitely for the first request, then returns it with
+        every request already queued behind it, up to ``max_size``.
         """
         with self._cond:
             while not self._items:
                 if self._closed:
                     return None
                 self._cond.wait()
-            batch = [self._items.popleft()]
-            deadline = time.perf_counter() + max_wait_s
-            while len(batch) < max_size:
-                while self._items and len(batch) < max_size:
-                    batch.append(self._items.popleft())
-                if len(batch) >= max_size or self._closed:
-                    break
-                remaining = deadline - time.perf_counter()
-                if remaining <= 0:
-                    break
-                self._cond.wait(remaining)
-            return batch
+            items = self._items
+            return [items.popleft() for _ in range(min(max_size, len(items)))]
 
     def close(self) -> None:
         """Reject new requests; pending ones may still be drained."""
@@ -136,10 +128,9 @@ class DynamicBatcher:
         ``max_batch_size`` fits inside one tile of the shipped model
         scales, so each coalesced batch is a single forward pass.
     max_batch_size:
-        Flush as soon as this many requests are waiting.
-    max_wait_ms:
-        Flush a partial batch this long after its first request arrived.
-        Low values favour latency, high values throughput.
+        Most queued requests served by one forward pass.  The worker
+        takes whatever is queued up to this cap as soon as the engine is
+        free; it never waits for more to arrive.
     stats:
         Optional shared :class:`ServingStats`; one is created otherwise.
     start:
@@ -148,16 +139,13 @@ class DynamicBatcher:
     """
 
     def __init__(self, engine: BatchedDSEPredictor, max_batch_size: int = 64,
-                 max_wait_ms: float = 2.0, stats=None, start: bool = True):
+                 stats=None, start: bool = True):
         if max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
-        if max_wait_ms < 0:
-            raise ValueError("max_wait_ms must be >= 0")
         from .stats import ServingStats
         self.engine = engine
         self.problem = engine.problem
         self.max_batch_size = max_batch_size
-        self.max_wait_ms = max_wait_ms
         self.stats = stats if stats is not None else ServingStats()
         self.queue = RequestQueue()
         self._thread: threading.Thread | None = None
@@ -281,8 +269,7 @@ class DynamicBatcher:
     # ------------------------------------------------------------------
     def _serve_loop(self) -> None:
         while True:
-            batch = self.queue.get_batch(self.max_batch_size,
-                                         self.max_wait_ms / 1e3)
+            batch = self.queue.get_batch(self.max_batch_size)
             if batch is None:
                 return
             self._serve_batch(batch)

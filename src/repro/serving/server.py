@@ -123,6 +123,10 @@ _MAX_HEADERS = 100
 _EXECUTOR_WORKERS = min(32, 8 * (os.cpu_count() or 1))
 # How long shutdown() lets in-flight requests finish.
 _DRAIN_TIMEOUT_S = 10.0
+# How long a client may take to send the headers and body that follow a
+# request line (answered 408).  The idle wait between keep-alive
+# requests is not bounded: the drain hangs those connections up.
+_READ_TIMEOUT_S = 5.0
 _DRAIN_POLL_S = 0.02
 
 
@@ -171,8 +175,8 @@ class _RequestTimeout(Exception):
 
 
 class _MalformedRequest(ValueError):
-    """An unparseable request head: answered with ``status``, then the
-    connection is closed."""
+    """A request head or body that cannot be read: answered with
+    ``status``, then the connection is closed."""
 
     def __init__(self, status: int, message: str):
         self.status = status
@@ -232,7 +236,7 @@ class ModelRoute:
     """
 
     def __init__(self, name: str, model: AirchitectV2, *,
-                 max_batch_size: int, max_wait_ms: float,
+                 max_batch_size: int,
                  source: str = "direct",
                  sweep_workers: int | None = None,
                  max_queue: int | None = None,
@@ -275,7 +279,6 @@ class ModelRoute:
                                           on_batch=self.stats.record_forward)
         self.batcher = DynamicBatcher(self.engine,
                                       max_batch_size=max_batch_size,
-                                      max_wait_ms=max_wait_ms,
                                       stats=self.stats, start=False)
         self._executor: ShardedSweepExecutor | None = None
         self._executor_lock = threading.Lock()
@@ -368,8 +371,8 @@ class DSEServer:
     host / port:
         Bind address; ``port=0`` picks an ephemeral port (see
         :attr:`address` for the bound one — tests rely on this).
-    max_batch_size / max_wait_ms:
-        Every route's batcher flush policy (see :class:`DynamicBatcher`).
+    max_batch_size:
+        Every route's batch cap (see :class:`DynamicBatcher`).
     oracle:
         Optional shared :class:`ExhaustiveOracle` for ``with_cost``
         requests and the ``/stats`` cache-hit-rate line; created lazily
@@ -426,7 +429,7 @@ class DSEServer:
 
     def __init__(self, model: AirchitectV2 | None = None,
                  host: str = "127.0.0.1", port: int = 0,
-                 max_batch_size: int = 64, max_wait_ms: float = 2.0,
+                 max_batch_size: int = 64,
                  oracle: ExhaustiveOracle | None = None,
                  request_timeout_s: float = 60.0,
                  registry: ModelRegistry | str | None = None,
@@ -452,7 +455,6 @@ class DSEServer:
         self.request_timeout_s = request_timeout_s
         self.started_at = time.time()
         self.max_batch_size = max_batch_size
-        self.max_wait_ms = max_wait_ms
         self.max_models = max_models
         self.sweep_workers = sweep_workers
         self.max_queue = max_queue
@@ -538,7 +540,6 @@ class DSEServer:
                   source: str = "direct") -> ModelRoute:
         """Attach a model under ``name`` (started if the server runs)."""
         route = ModelRoute(name, model, max_batch_size=self.max_batch_size,
-                           max_wait_ms=self.max_wait_ms,
                            source=source, sweep_workers=self.sweep_workers,
                            max_queue=self.max_queue,
                            breaker_threshold=self.breaker_threshold,
@@ -600,7 +601,6 @@ class DSEServer:
             if name not in self.routes:     # racing request may have won
                 route = ModelRoute(
                     name, loaded, max_batch_size=self.max_batch_size,
-                    max_wait_ms=self.max_wait_ms,
                     source="registry", sweep_workers=self.sweep_workers,
                     max_queue=self.max_queue,
                     breaker_threshold=self.breaker_threshold,
@@ -1083,8 +1083,9 @@ class DSEServer:
 
         Raises :class:`_MalformedRequest` for a head that cannot be
         served: a bad request line (400), a line longer than the stream
-        limit (414 for the request line, 431 for a header) or more than
-        ``_MAX_HEADERS`` headers (431).
+        limit (414 for the request line, 431 for a header), more than
+        ``_MAX_HEADERS`` headers (431) or headers that take longer than
+        ``_READ_TIMEOUT_S`` to arrive (408).
         """
         try:
             line = await reader.readline()
@@ -1100,17 +1101,22 @@ class DSEServer:
             raise _MalformedRequest(400, f"malformed request line "
                                          f"{text[:80]!r}")
         headers: dict[str, str] = {}
-        for _ in range(_MAX_HEADERS + 1):
-            try:
-                hline = await reader.readline()
-            except ValueError:
-                raise _MalformedRequest(
-                    431, f"header line longer than {_MAX_LINE_BYTES} "
-                         f"bytes") from None
-            if hline in (b"\r\n", b"\n", b""):
-                return parts[0], parts[1], parts[2], headers
-            name, _, value = hline.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
+        try:
+            async with asyncio.timeout(_READ_TIMEOUT_S):
+                for _ in range(_MAX_HEADERS + 1):
+                    hline = await reader.readline()
+                    if hline in (b"\r\n", b"\n", b""):
+                        return parts[0], parts[1], parts[2], headers
+                    name, _, value = hline.decode("latin-1").partition(":")
+                    headers[name.strip().lower()] = value.strip()
+        except ValueError:
+            raise _MalformedRequest(
+                431, f"header line longer than {_MAX_LINE_BYTES} bytes") \
+                from None
+        except TimeoutError:
+            raise _MalformedRequest(
+                408, f"request headers not received within "
+                     f"{_READ_TIMEOUT_S:g}s") from None
         raise _MalformedRequest(431, f"more than {_MAX_HEADERS} headers")
 
     @staticmethod
@@ -1126,7 +1132,13 @@ class DSEServer:
                               f"{_MAX_BODY_BYTES} bytes)")
         if headers.get("expect", "").lower() == "100-continue":
             writer.write(b"HTTP/1.1 100 Continue\r\n\r\n")
-        body = await reader.readexactly(length)
+        try:
+            async with asyncio.timeout(_READ_TIMEOUT_S):
+                body = await reader.readexactly(length)
+        except TimeoutError:
+            raise _MalformedRequest(
+                408, f"request body not received within "
+                     f"{_READ_TIMEOUT_S:g}s") from None
         try:
             return json.loads(body)
         except json.JSONDecodeError as exc:
@@ -1225,6 +1237,9 @@ class DSEServer:
                          f"{self.request_timeout_s:g}s"}, trace_headers)
         except _BadRequest as exc:
             return await self._send(writer, 400, {"error": str(exc)},
+                                    trace_headers)
+        except _MalformedRequest as exc:
+            return await self._send(writer, exc.status, {"error": str(exc)},
                                     trace_headers)
         except Exception as exc:    # pragma: no cover - defensive 500 path
             self.record_error()

@@ -165,6 +165,31 @@ class TestVectorisedAPIs:
         assert float(mixed.latency_cycles[1]) == pytest.approx(
             float(os_.latency_cycles))
 
+    @pytest.mark.parametrize("n_rows", [1, 8, 1024])
+    def test_evaluate_mixed_is_bitwise_per_dataflow_evaluate(
+            self, cost_model, problem, n_rows):
+        rng = np.random.default_rng(n_rows)
+        inputs = problem.sample_inputs(n_rows, rng)
+        df = np.arange(n_rows) % len(Dataflow)      # every dataflow mixed
+        rng.shuffle(df)
+        pes, l2_kb = problem.space.values(
+            rng.integers(0, problem.space.n_pe, n_rows),
+            rng.integers(0, problem.space.n_l2, n_rows))
+        mixed = cost_model.evaluate_mixed(inputs[:, 0], inputs[:, 1],
+                                          inputs[:, 2], df, pes, l2_kb)
+        per_dataflow = [cost_model.evaluate(inputs[:, 0], inputs[:, 1],
+                                            inputs[:, 2], d, pes, l2_kb)
+                        for d in Dataflow]
+        for field, values in vars(mixed).items():
+            expected = np.choose(df, [getattr(r, field)
+                                      for r in per_dataflow])
+            assert values.dtype == expected.dtype, field
+            np.testing.assert_array_equal(values, expected, err_msg=field)
+
+    def test_evaluate_mixed_rejects_unknown_dataflow(self, cost_model):
+        with pytest.raises(ValueError, match="dataflow_idx"):
+            cost_model.evaluate_mixed(64, 128, 96, np.array([0, 3]), 64, 256)
+
     def test_bound_by_classification(self, cost_model):
         out = cost_model.evaluate(256, 1024, 512, "os", 8, 32768)
         assert int(out.bound_by()) in (0, 1, 2)

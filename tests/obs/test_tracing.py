@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import threading
 
 import pytest
@@ -31,6 +32,24 @@ class TestSpans:
     def test_span_ids_unique(self, tracer):
         ids = {tracer.span("s").span_id for _ in range(100)}
         assert len(ids) == 100
+
+    def test_new_trace_ids_are_hex_and_distinct_across_fork(self, tracer):
+        span = tracer.span("root")
+        assert len(span.trace_id) == 32 and len(span.span_id) == 16
+        int(span.trace_id + span.span_id, 16)
+        read, write = os.pipe()
+        pid = os.fork()
+        if pid == 0:                    # child: report its next root ids
+            child = tracer.span("root")
+            os.write(write, (child.trace_id + child.span_id).encode())
+            os._exit(0)
+        os.close(write)
+        with os.fdopen(read) as pipe:
+            child_ids = pipe.read()
+        os.waitpid(pid, 0)
+        parent = tracer.span("root")
+        assert len(child_ids) == 48
+        assert child_ids != parent.trace_id + parent.span_id
 
     def test_explicit_trace_id_joins(self, tracer):
         span = tracer.span("joined", trace_id="feedface01")

@@ -1,4 +1,4 @@
-"""Dynamic batcher: coalescing, parity, flush policy, lifecycle."""
+"""Dynamic batcher: coalescing, parity, batching policy, lifecycle."""
 
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ class TestCoalescing:
     def test_queued_requests_coalesce_into_minimal_batches(self, serve_model,
                                                            problem, rng):
         """N queued requests are served in exactly ceil(N/max_batch) passes."""
-        batcher = _batcher(serve_model, max_batch_size=8, max_wait_ms=50)
+        batcher = _batcher(serve_model, max_batch_size=8)
         inputs = problem.sample_inputs(20, rng)
         futures = [batcher.submit(*map(int, row)) for row in inputs]
         batcher.start()
@@ -36,32 +36,42 @@ class TestCoalescing:
 
     def test_concurrent_threads_share_forward_passes(self, serve_model,
                                                      problem, rng):
-        """Threaded clients: ≤ one pass per request, correct per-thread
-        results, and (with a generous wait window) real coalescing."""
+        """Threaded clients: correct per-thread results, and requests
+        that queue behind a busy engine share its next passes."""
         n_clients = 24
-        batcher = _batcher(serve_model, max_batch_size=8, max_wait_ms=100,
-                           start=True)
+        batcher = _batcher(serve_model, max_batch_size=8, start=True)
+        # The first pass holds the engine until every client has
+        # submitted, so the rest are queued when it frees up.
+        all_submitted = threading.Event()
+        real = batcher.engine.predict_indices
+
+        def held_until_all_submitted(inputs):
+            assert all_submitted.wait(30)
+            return real(inputs)
+
+        batcher.engine.predict_indices = held_until_all_submitted
         inputs = problem.sample_inputs(n_clients, rng)
         results: dict[int, object] = {}
-        barrier = threading.Barrier(n_clients)
+        barrier = threading.Barrier(n_clients + 1)
 
         def client(i: int) -> None:
+            future = batcher.submit(*map(int, inputs[i]))
             barrier.wait()
-            row = inputs[i]
-            results[i] = batcher.predict(*map(int, row), timeout=30)
+            results[i] = future.result(30)
 
         threads = [threading.Thread(target=client, args=(i,))
                    for i in range(n_clients)]
         for t in threads:
             t.start()
+        barrier.wait()
+        all_submitted.set()
         for t in threads:
             t.join()
         batcher.stop()
 
-        assert batcher.stats.forward_passes <= n_clients
-        # The barrier releases all clients at once into a 100 ms window,
-        # so at least some requests must have shared a batch.
-        assert batcher.stats.mean_batch_size > 1.0
+        # One held pass of >= 1 row, then at most ceil(23 / 8) more.
+        assert batcher.stats.forward_passes <= 1 + 3
+        assert batcher.stats.samples_total == n_clients
         pe_ref, l2_ref = DSEPredictor(serve_model).predict_indices(inputs)
         for i in range(n_clients):
             assert results[i].pe_idx == pe_ref[i]
@@ -72,7 +82,7 @@ class TestParityAndResults:
     def test_predictions_identical_to_per_sample_predictor(self, serve_model,
                                                            problem, rng):
         inputs = problem.sample_inputs(40, rng)
-        with _batcher(serve_model, max_batch_size=16, max_wait_ms=5,
+        with _batcher(serve_model, max_batch_size=16,
                       start=True) as batcher:
             served = [batcher.predict(*map(int, row)) for row in inputs]
         pe_ref, l2_ref = DSEPredictor(serve_model).predict_indices(inputs)
@@ -118,14 +128,17 @@ class TestParityAndResults:
 
 
 class _GatedEngine:
-    """Duck-typed engine whose forward pass blocks until released."""
+    """Duck-typed engine whose forward pass blocks until released; it
+    records the rows of every pass."""
 
     def __init__(self, problem):
         self.problem = problem
         self.entered = threading.Event()
         self.release = threading.Event()
+        self.pass_rows: list[int] = []
 
     def predict_indices(self, inputs):
+        self.pass_rows.append(len(inputs))
         self.entered.set()
         assert self.release.wait(30), "test never released the gate"
         zeros = np.zeros(len(inputs), dtype=np.int64)
@@ -138,7 +151,7 @@ class TestCancelledFutures:
         """Regression: set_result on a cancelled future raised
         InvalidStateError, killing the batcher thread and hanging every
         subsequent request on the route."""
-        batcher = _batcher(serve_model, max_batch_size=4, max_wait_ms=10)
+        batcher = _batcher(serve_model, max_batch_size=4)
         inputs = problem.sample_inputs(6, rng)
         futures = [batcher.submit(*map(int, row)) for row in inputs]
         assert futures[2].cancel()          # a client times out mid-queue
@@ -155,7 +168,7 @@ class TestCancelledFutures:
 
     def test_fully_cancelled_batch_is_skipped(self, serve_model, problem,
                                               rng):
-        batcher = _batcher(serve_model, max_batch_size=4, max_wait_ms=10)
+        batcher = _batcher(serve_model, max_batch_size=4)
         futures = [batcher.submit(*map(int, row))
                    for row in problem.sample_inputs(3, rng)]
         for future in futures:
@@ -174,7 +187,7 @@ class TestStopTimeout:
         expired, so `running` lied and a second start() could race a new
         worker onto the same queue."""
         engine = _GatedEngine(problem)
-        batcher = DynamicBatcher(engine, max_batch_size=4, max_wait_ms=1)
+        batcher = DynamicBatcher(engine, max_batch_size=4)
         future = batcher.submit(8, 8, 8)
         assert engine.entered.wait(10)      # worker is mid-forward-pass
         with pytest.raises(TimeoutError, match="still draining"):
@@ -187,6 +200,25 @@ class TestStopTimeout:
         batcher.stop(timeout=10)            # now the drain completes
         assert not batcher.running
         assert future.result(1) is not None
+
+
+class TestWorkConservingBatching:
+    def test_requests_queued_behind_a_busy_engine_form_the_next_batches(
+            self, problem):
+        """N requests submitted while the engine holds a batch are served
+        in exactly ceil(N / max_batch_size) further passes."""
+        engine = _GatedEngine(problem)
+        batcher = DynamicBatcher(engine, max_batch_size=8)
+        first = batcher.submit(8, 8, 8)
+        assert engine.entered.wait(10)      # the engine holds batch one
+        backlog = [batcher.submit(8 + i, 8, 8) for i in range(19)]
+        engine.release.set()
+        assert first.result(10).batch_size == 1
+        assert [f.result(10).batch_size for f in backlog] \
+            == [8] * 8 + [8] * 8 + [3] * 3
+        batcher.stop()
+        assert engine.pass_rows == [1, 8, 8, 3]   # 1 + ceil(19 / 8)
+        assert batcher.stats.batches_total == 4
 
 
 class TestStatsAccounting:
@@ -241,11 +273,9 @@ class TestValidationAndLifecycle:
         engine = BatchedDSEPredictor(serve_model)
         with pytest.raises(ValueError):
             DynamicBatcher(engine, max_batch_size=0, start=False)
-        with pytest.raises(ValueError):
-            DynamicBatcher(engine, max_wait_ms=-1, start=False)
 
     def test_stop_drains_pending_requests(self, serve_model, problem, rng):
-        batcher = _batcher(serve_model, max_batch_size=4, max_wait_ms=20)
+        batcher = _batcher(serve_model, max_batch_size=4)
         futures = [batcher.submit(*map(int, row))
                    for row in problem.sample_inputs(10, rng)]
         batcher.start()
@@ -268,8 +298,7 @@ class TestSustainedLoad:
         n_clients, per_client = 16, 250
         inputs = problem.sample_inputs(n_clients * per_client,
                                        np.random.default_rng(99))
-        batcher = _batcher(serve_model, max_batch_size=64, max_wait_ms=2,
-                           start=True)
+        batcher = _batcher(serve_model, max_batch_size=64, start=True)
 
         def client(cid: int) -> None:
             for r in range(per_client):

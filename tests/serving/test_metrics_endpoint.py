@@ -28,7 +28,7 @@ _STATS_KEYS = (
 
 @pytest.fixture
 def server(serve_model):
-    srv = DSEServer(serve_model, port=0, max_batch_size=16, max_wait_ms=2)
+    srv = DSEServer(serve_model, port=0, max_batch_size=16)
     with srv:
         yield srv
 
@@ -159,7 +159,7 @@ class TestTracing:
 
     def test_tracing_disabled_omits_header(self, serve_model):
         srv = DSEServer(serve_model, port=0, max_batch_size=16,
-                        max_wait_ms=2, enable_tracing=False)
+                        enable_tracing=False)
         with srv:
             _, headers, _ = _post(srv, "/predict", {"m": 8, "n": 8, "k": 8})
         assert "X-Trace-Id" not in headers
@@ -168,7 +168,7 @@ class TestTracing:
     def test_trace_file_sink_receives_spans(self, serve_model, tmp_path):
         path = tmp_path / "spans.ndjson"
         srv = DSEServer(serve_model, port=0, max_batch_size=16,
-                        max_wait_ms=2, trace_file=str(path))
+                        trace_file=str(path))
         with srv:
             _, headers, _ = _post(srv, "/predict", {"m": 8, "n": 8, "k": 8})
             trace_id = headers["X-Trace-Id"]

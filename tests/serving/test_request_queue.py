@@ -1,16 +1,15 @@
-"""RequestQueue.get_batch deadline semantics under real threads.
+"""RequestQueue.get_batch work-conserving semantics under real threads.
 
-The flush policy is the serving layer's latency/throughput contract:
-flush as soon as ``max_size`` requests are in hand, else at ``max_wait``
-after the first request — and close() must wake waiters immediately,
-whether they are blocked on an empty queue or mid-deadline.  Every test
-here runs in well under a second.
+The batching policy is the serving layer's latency/throughput contract:
+block for the first request, then take every request already queued (up
+to ``max_size``) without waiting for more — and close() must wake a
+waiter blocked on an empty queue immediately.  No test here depends on
+how long anything takes.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -22,18 +21,26 @@ def _pending() -> _Pending:
     return _Pending(np.array([8, 8, 8, 0], dtype=np.int64))
 
 
-def _collect_in_thread(queue, max_size, max_wait_s):
+def _collect_in_thread(queue, max_size):
     """Run get_batch on a worker thread; returns (thread, result_box)."""
     box = {}
 
     def run():
-        start = time.perf_counter()
-        box["batch"] = queue.get_batch(max_size, max_wait_s)
-        box["elapsed"] = time.perf_counter() - start
+        box["batch"] = queue.get_batch(max_size)
 
     thread = threading.Thread(target=run, daemon=True)
     thread.start()
     return thread, box
+
+
+def _blocked_on_empty(queue, thread) -> bool:
+    """Wait until ``thread`` sleeps in get_batch on the empty queue."""
+    for _ in range(1000):
+        with queue._cond:
+            if queue._cond._waiters:
+                return True
+        thread.join(0.005)
+    return False
 
 
 class TestFlushOnSize:
@@ -41,45 +48,45 @@ class TestFlushOnSize:
         queue = RequestQueue()
         for _ in range(8):
             queue.put(_pending())
-        start = time.perf_counter()
-        batch = queue.get_batch(8, max_wait_s=30.0)
-        assert time.perf_counter() - start < 1.0
-        assert len(batch) == 8
+        assert len(queue.get_batch(8)) == 8
 
     def test_excess_items_stay_queued_for_the_next_batch(self):
         queue = RequestQueue()
         for _ in range(11):
             queue.put(_pending())
-        assert len(queue.get_batch(8, 0.01)) == 8
-        assert len(queue.get_batch(8, 0.01)) == 3
+        assert len(queue.get_batch(8)) == 8
+        assert len(queue.get_batch(8)) == 3
         assert len(queue) == 0
 
 
-class TestFlushOnDeadline:
-    def test_partial_batch_flushes_at_the_deadline(self):
+class TestWorkConserving:
+    def test_lone_request_is_returned_at_once(self):
         queue = RequestQueue()
-        queue.put(_pending())
-        start = time.perf_counter()
-        batch = queue.get_batch(8, max_wait_s=0.05)
-        elapsed = time.perf_counter() - start
-        assert len(batch) == 1
-        # Waited out the deadline (with CI-scheduler slack), not 8 items.
-        assert 0.04 <= elapsed < 2.0
+        item = _pending()
+        queue.put(item)
+        assert queue.get_batch(8) == [item]
+        assert len(queue) == 0
 
-    def test_late_arrivals_within_the_deadline_join_the_batch(self):
+    def test_items_queued_before_the_call_share_one_batch(self):
         queue = RequestQueue()
-        queue.put(_pending())
-        thread, box = _collect_in_thread(queue, 8, max_wait_s=0.4)
-        time.sleep(0.05)
-        queue.put(_pending())           # lands inside the wait window
-        thread.join(5.0)
-        assert not thread.is_alive()
-        assert len(box["batch"]) == 2
+        items = [_pending() for _ in range(5)]
+        for item in items:
+            queue.put(item)
+        assert queue.get_batch(8) == items      # all of them, in order
+
+    def test_backlog_beyond_the_cap_is_served_in_arrival_order(self):
+        queue = RequestQueue()
+        items = [_pending() for _ in range(10)]
+        for item in items:
+            queue.put(item)
+        assert queue.get_batch(4) == items[:4]
+        assert queue.get_batch(4) == items[4:8]
+        assert queue.get_batch(4) == items[8:]
 
     def test_blocks_indefinitely_for_the_first_request(self):
         queue = RequestQueue()
-        thread, box = _collect_in_thread(queue, 4, max_wait_s=0.02)
-        time.sleep(0.1)                 # well past max_wait: still waiting
+        thread, box = _collect_in_thread(queue, 4)
+        assert _blocked_on_empty(queue, thread)
         assert thread.is_alive()
         queue.put(_pending())
         thread.join(5.0)
@@ -90,31 +97,32 @@ class TestFlushOnDeadline:
 class TestClose:
     def test_close_while_waiting_empty_returns_none(self):
         queue = RequestQueue()
-        thread, box = _collect_in_thread(queue, 4, max_wait_s=30.0)
-        time.sleep(0.05)                # let the waiter block
+        thread, box = _collect_in_thread(queue, 4)
+        assert _blocked_on_empty(queue, thread)
         queue.close()
         thread.join(5.0)
         assert not thread.is_alive()
         assert box["batch"] is None
 
     def test_close_mid_collection_flushes_the_partial_batch(self):
+        """A queue closed with fewer than ``max_size`` items still hands
+        them out as one batch, then reports the end."""
         queue = RequestQueue()
         queue.put(_pending())
-        thread, box = _collect_in_thread(queue, 8, max_wait_s=30.0)
-        time.sleep(0.05)                # waiter holds 1 item, mid-deadline
         queue.close()
+        thread, box = _collect_in_thread(queue, 8)
         thread.join(5.0)
         assert not thread.is_alive()
         assert len(box["batch"]) == 1
-        assert box["elapsed"] < 5.0     # woke on close, not the deadline
+        assert queue.get_batch(8) is None
 
     def test_pending_items_drain_after_close_then_none(self):
         queue = RequestQueue()
         for _ in range(3):
             queue.put(_pending())
         queue.close()
-        assert len(queue.get_batch(8, 0.01)) == 3
-        assert queue.get_batch(8, 0.01) is None
+        assert len(queue.get_batch(8)) == 3
+        assert queue.get_batch(8) is None
 
     def test_put_after_close_raises(self):
         queue = RequestQueue()

@@ -18,6 +18,7 @@ import pytest
 from repro.core import AirchitectV2, DSEPredictor
 from repro.registry import ModelRegistry
 from repro.serving import DSEServer
+from repro.serving import server as server_module
 from repro.serving.server import _DRAIN_TIMEOUT_S
 
 from .conftest import SERVE_MODEL_CONFIG
@@ -25,7 +26,7 @@ from .conftest import SERVE_MODEL_CONFIG
 
 @pytest.fixture
 def server(serve_model):
-    srv = DSEServer(serve_model, port=0, max_batch_size=16, max_wait_ms=2)
+    srv = DSEServer(serve_model, port=0, max_batch_size=16)
     with srv:
         yield srv
 
@@ -274,7 +275,7 @@ class TestErrorHandling:
 class TestMultiModelRouting:
     @pytest.fixture
     def multi_server(self, serve_model, second_model):
-        srv = DSEServer(serve_model, port=0, max_batch_size=16, max_wait_ms=2,
+        srv = DSEServer(serve_model, port=0, max_batch_size=16,
                         default_model="alpha")
         srv.add_model("beta", second_model)
         with srv:
@@ -290,8 +291,7 @@ class TestMultiModelRouting:
         for name, model in (("alpha", serve_model), ("beta", second_model)):
             _, routed = _post(multi_server, "/predict",
                               {"workloads": workloads, "model": name})
-            with DSEServer(model, port=0, max_batch_size=16,
-                           max_wait_ms=2) as dedicated:
+            with DSEServer(model, port=0, max_batch_size=16) as dedicated:
                 _, single = _post(dedicated, "/predict",
                                   {"workloads": workloads})
             assert routed["model"] == name
@@ -591,6 +591,73 @@ class TestRawHTTP:
         assert server._route(None).inflight == 0
 
 
+_STALLED_BODY = (b"POST /predict HTTP/1.1\r\nContent-Length: 100\r\n\r\n"
+                 b"{\"m\": 8, \"n\"")      # 12 of the 100 body bytes
+_SHORT_READ_TIMEOUT_S = 0.5
+
+
+def _read_reply(sock: socket.socket) -> tuple[int, list[str], dict]:
+    """Status, header lines and JSON body of the one reply on ``sock``,
+    read until the server closes it."""
+    reply = b""
+    while chunk := sock.recv(65536):
+        reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    lines = head.decode("latin-1").split("\r\n")
+    return int(lines[0].split()[1]), lines[1:], json.loads(body)
+
+
+class TestStalledRequest:
+    """A client that stops mid-request is answered 408 once the read
+    bound expires, instead of holding its connection until shutdown."""
+
+    @pytest.fixture(autouse=True)
+    def _short_read_timeout(self, monkeypatch):
+        monkeypatch.setattr(server_module, "_READ_TIMEOUT_S",
+                            _SHORT_READ_TIMEOUT_S)
+
+    @pytest.mark.parametrize("data", [
+        _STALLED_BODY,
+        b"POST /predict HTTP/1.1\r\nContent-Length: 10\r\n",
+    ], ids=["body", "headers"])
+    def test_stalled_request_gets_408_within_the_bound(self, server, data):
+        with socket.create_connection(server.address, timeout=10) as sock:
+            begin = time.perf_counter()
+            sock.sendall(data)
+            status, headers, doc = _read_reply(sock)
+            elapsed = time.perf_counter() - begin
+        assert status == 408
+        assert "Connection: close" in headers
+        assert "Content-Type: application/json" in headers
+        assert "not received" in doc["error"]
+        assert elapsed < _SHORT_READ_TIMEOUT_S + 1.0
+        assert _post(server, "/predict", {"m": 8, "n": 8, "k": 8})[0] == 200
+        assert server._route(None).inflight == 0
+
+    def test_shutdown_during_a_stalled_body_does_not_wait_out_the_drain(
+            self, serve_model):
+        srv = DSEServer(serve_model, port=0)
+        srv.start()
+        try:
+            with socket.create_connection(srv.address, timeout=10) as sock:
+                sock.sendall(_STALLED_BODY)
+                # Wait until the server has read the head and is blocked
+                # on the body: the connection counts as busy.
+                for _ in range(500):
+                    if any(srv._conns.values()):
+                        break
+                    time.sleep(0.01)
+                assert any(srv._conns.values())
+                begin = time.perf_counter()
+                srv.shutdown()
+                elapsed = time.perf_counter() - begin
+                status, _, _ = _read_reply(sock)
+            assert status == 408
+            assert elapsed < _DRAIN_TIMEOUT_S / 4
+        finally:
+            srv.shutdown()
+
+
 class TestKeepAlive:
     def test_sequential_requests_reuse_one_connection(self, server):
         host, port = server.address
@@ -629,7 +696,7 @@ class _Gate:
 class TestBackpressure:
     def test_saturated_route_answers_429_with_retry_after(self, serve_model):
         srv = DSEServer(serve_model, port=0, max_batch_size=4,
-                        max_wait_ms=1, max_queue=1, retry_after_s=2.0)
+                        max_queue=1, retry_after_s=2.0)
         gate = _Gate(srv._route(None))
         with srv:
             try:
@@ -670,7 +737,7 @@ class TestBackpressure:
 
     def test_rejected_requests_never_reach_the_batcher(self, serve_model):
         srv = DSEServer(serve_model, port=0, max_batch_size=4,
-                        max_wait_ms=1, max_queue=1)
+                        max_queue=1)
         route = srv._route(None)
         gate = _Gate(route)
         with srv:
@@ -694,7 +761,7 @@ class TestBackpressure:
 class TestRequestTimeout:
     def test_slow_route_answers_504(self, serve_model):
         srv = DSEServer(serve_model, port=0, max_batch_size=4,
-                        max_wait_ms=1, request_timeout_s=0.3)
+                        request_timeout_s=0.3)
         gate = _Gate(srv._route(None))
         with srv:
             try:
@@ -707,7 +774,7 @@ class TestRequestTimeout:
 
     def test_timeout_counts_as_an_error_in_stats(self, serve_model):
         srv = DSEServer(serve_model, port=0, max_batch_size=4,
-                        max_wait_ms=1, request_timeout_s=0.3)
+                        request_timeout_s=0.3)
         gate = _Gate(srv._route(None))
         with srv:
             try:
@@ -798,7 +865,7 @@ class TestGracefulDrain:
         # max_queue=1: polls that sneak in before the listener closes
         # answer 429 instantly instead of queueing behind the gate.
         srv = DSEServer(serve_model, port=0, max_batch_size=4,
-                        max_wait_ms=1, max_queue=1)
+                        max_queue=1)
         gate = _Gate(srv._route(None))
         srv.start()
         results = {}
@@ -837,8 +904,7 @@ class TestGracefulDrain:
 
     def test_shutdown_during_a_burst_answers_or_refuses_every_client(
             self, serve_model):
-        srv = DSEServer(serve_model, port=0, max_batch_size=8,
-                        max_wait_ms=1)
+        srv = DSEServer(serve_model, port=0, max_batch_size=8)
         srv.start()
         host, port = srv.address
         body = json.dumps({"m": 8, "n": 8, "k": 8})

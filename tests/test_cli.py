@@ -104,11 +104,10 @@ class TestServeCommand:
 
     @pytest.mark.parametrize("flags", [
         ["--max-batch-size", "0"],
-        ["--max-wait-ms", "-1"],
         ["--max-queue", "0"],
         ["--request-timeout", "0"],
         ["--request-timeout", "-3"],
-    ], ids=["batch-size", "wait", "queue", "timeout-zero", "timeout-neg"])
+    ], ids=["batch-size", "queue", "timeout-zero", "timeout-neg"])
     def test_bad_flush_policy_rejected(self, flags, capsys):
         with pytest.raises(SystemExit) as err:
             main(["serve", "--untrained", "--scale", "tiny"] + flags)
