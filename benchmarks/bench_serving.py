@@ -412,9 +412,12 @@ def run_smoke() -> dict:
     result["sustained"] = run_sustained(duration_s=1.5, clients=4,
                                         p99_limit_s=SMOKE_P99_LIMIT_S)
     result["saturation"] = run_saturation()
+    # 8 rounds (384 requests a side): with 2, the traced-vs-plain p50
+    # difference spread about ±2.5% between identical runs, so the 3%
+    # gate failed on noise alone.
     result["observability"] = run_obs_overhead(clients=8,
                                                requests_per_client=12,
-                                               rounds=2)
+                                               rounds=8)
     result["faults"] = run_fault_overhead(iterations=50_000, engine_reps=100)
     return result
 

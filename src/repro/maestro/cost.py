@@ -138,6 +138,8 @@ class CostModel:
         if ((dataflow_idx < 0) | (dataflow_idx >= len(Dataflow))).any():
             raise ValueError("dataflow_idx must be in 0.."
                              f"{len(Dataflow) - 1}")
+        if dataflow_idx.size == 0:          # no rows: empty fields
+            return self.evaluate(m, n, k, 0, pes, l2_kb)
         out = {}
         for df in Dataflow:
             mask = dataflow_idx == df

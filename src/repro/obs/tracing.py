@@ -42,8 +42,19 @@ __all__ = ["SpanContext", "Span", "Tracer", "engine_trace_scope",
            "current_engine_contexts"]
 
 
+# Ids come from a private generator rather than os.urandom: that system
+# call releases the GIL, and a request thread that lets go of it just
+# before its request is queued waits behind every runnable thread to get
+# it back, so its request misses the batch being formed.  The generator
+# is seeded from os.urandom and reseeded in a forked child, so ids stay
+# distinct across processes.
+_ids = random.Random()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_ids.seed)
+
+
 def new_id(nbytes: int = 8) -> str:
-    return os.urandom(nbytes).hex()
+    return f"{_ids.getrandbits(8 * nbytes):0{2 * nbytes}x}"
 
 
 @dataclass(frozen=True)
@@ -67,12 +78,11 @@ class Span:
                  "_ended")
 
     def __init__(self, tracer: "Tracer", name: str, trace_id: str,
-                 parent_id: str | None = None, attributes: dict | None = None,
-                 span_id: str | None = None):
+                 parent_id: str | None = None, attributes: dict | None = None):
         self.tracer = tracer
         self.name = name
         self.trace_id = trace_id
-        self.span_id = span_id or new_id()
+        self.span_id = new_id()
         self.parent_id = parent_id
         self.attributes = dict(attributes) if attributes else {}
         self.status = "ok"
@@ -138,22 +148,17 @@ class Tracer:
         self.spans_dropped = 0
 
     # ------------------------------------------------------------------
+    def new_trace_id(self) -> str:
+        return new_id(16)
+
     def span(self, name: str, *, trace_id: str | None = None,
              parent: SpanContext | None = None,
              attributes: dict | None = None) -> Span:
         if parent is not None:
             return Span(self, name, parent.trace_id, parent.span_id,
                         attributes)
-        if trace_id is not None:
-            return Span(self, name, trace_id, None, attributes)
-        # A new trace starts on the request's own thread, before the
-        # request is queued.  Its ids come from one call that keeps the
-        # GIL: os.urandom releases it, and the thread then waits behind
-        # every runnable thread to get it back, which put traced
-        # requests into later batches than untraced ones.  The random
-        # module reseeds in a forked child, so ids stay distinct.
-        ids = f"{random.getrandbits(192):048x}"
-        return Span(self, name, ids[:32], None, attributes, ids[32:])
+        return Span(self, name, trace_id or self.new_trace_id(),
+                    None, attributes)
 
     # ------------------------------------------------------------------
     def _export(self, doc: dict) -> None:

@@ -192,6 +192,19 @@ def _head(status: int, headers) -> bytes:
     return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
 
 
+async def _read_headers(reader: asyncio.StreamReader) -> dict[str, str] | None:
+    """The header lines up to the blank line, or ``None`` past
+    ``_MAX_HEADERS``; a line over the reader's limit raises ValueError."""
+    headers: dict[str, str] = {}
+    for _ in range(_MAX_HEADERS + 1):
+        hline = await reader.readline()
+        if hline in (b"\r\n", b"\n", b""):
+            return headers
+        name, _, value = hline.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    return None
+
+
 def _parse_workloads(doc, limit: int = _MAX_WORKLOADS_PER_REQUEST) \
         -> list[tuple[int, int, int, int]]:
     if isinstance(doc, dict) and "workloads" in doc:
@@ -1100,24 +1113,20 @@ class DSEServer:
         if len(parts) != 3 or not parts[2].startswith("HTTP/"):
             raise _MalformedRequest(400, f"malformed request line "
                                          f"{text[:80]!r}")
-        headers: dict[str, str] = {}
         try:
-            async with asyncio.timeout(_READ_TIMEOUT_S):
-                for _ in range(_MAX_HEADERS + 1):
-                    hline = await reader.readline()
-                    if hline in (b"\r\n", b"\n", b""):
-                        return parts[0], parts[1], parts[2], headers
-                    name, _, value = hline.decode("latin-1").partition(":")
-                    headers[name.strip().lower()] = value.strip()
+            headers = await asyncio.wait_for(_read_headers(reader),
+                                             _READ_TIMEOUT_S)
         except ValueError:
             raise _MalformedRequest(
                 431, f"header line longer than {_MAX_LINE_BYTES} bytes") \
                 from None
-        except TimeoutError:
+        except asyncio.TimeoutError:
             raise _MalformedRequest(
                 408, f"request headers not received within "
                      f"{_READ_TIMEOUT_S:g}s") from None
-        raise _MalformedRequest(431, f"more than {_MAX_HEADERS} headers")
+        if headers is None:
+            raise _MalformedRequest(431, f"more than {_MAX_HEADERS} headers")
+        return parts[0], parts[1], parts[2], headers
 
     @staticmethod
     async def _read_json_body(reader: asyncio.StreamReader,
@@ -1133,9 +1142,9 @@ class DSEServer:
         if headers.get("expect", "").lower() == "100-continue":
             writer.write(b"HTTP/1.1 100 Continue\r\n\r\n")
         try:
-            async with asyncio.timeout(_READ_TIMEOUT_S):
-                body = await reader.readexactly(length)
-        except TimeoutError:
+            body = await asyncio.wait_for(reader.readexactly(length),
+                                          _READ_TIMEOUT_S)
+        except asyncio.TimeoutError:
             raise _MalformedRequest(
                 408, f"request body not received within "
                      f"{_READ_TIMEOUT_S:g}s") from None

@@ -165,7 +165,7 @@ class TestVectorisedAPIs:
         assert float(mixed.latency_cycles[1]) == pytest.approx(
             float(os_.latency_cycles))
 
-    @pytest.mark.parametrize("n_rows", [1, 8, 1024])
+    @pytest.mark.parametrize("n_rows", [0, 1, 8, 1024])
     def test_evaluate_mixed_is_bitwise_per_dataflow_evaluate(
             self, cost_model, problem, n_rows):
         rng = np.random.default_rng(n_rows)

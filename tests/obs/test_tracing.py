@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import threading
 
 import pytest
@@ -33,7 +34,20 @@ class TestSpans:
         ids = {tracer.span("s").span_id for _ in range(100)}
         assert len(ids) == 100
 
-    def test_new_trace_ids_are_hex_and_distinct_across_fork(self, tracer):
+    def test_ids_ignore_the_global_random_seed(self, tracer):
+        state = random.getstate()
+        try:
+            random.seed(0)
+            first = tracer.span("root")
+            random.seed(0)
+            second = tracer.span("root")
+        finally:
+            random.setstate(state)
+        assert first.trace_id != second.trace_id
+        assert first.span_id != second.span_id
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_ids_are_hex_and_distinct_across_fork(self, tracer):
         span = tracer.span("root")
         assert len(span.trace_id) == 32 and len(span.span_id) == 16
         int(span.trace_id + span.span_id, 16)
