@@ -7,7 +7,7 @@ predictions to the per-sample loop and (b) beat it by >= 5x throughput.
 Run standalone to get a machine-readable record for the perf trajectory::
 
     PYTHONPATH=src python benchmarks/bench_batched_inference.py \
-        --samples 1000 --output bench_batched.json
+        --samples 1000 --output BENCH_batched_inference.json
 
 or under pytest-benchmark along with the other benches::
 
@@ -22,6 +22,7 @@ import sys
 import time
 
 import numpy as np
+from bench_train_step import _provenance
 
 from repro.core import (AirchitectV2, BatchedDSEPredictor, DSEPredictor,
                         ModelConfig)
@@ -96,6 +97,7 @@ def main(argv: list[str] | None = None) -> int:
 
     result = run_bench(samples=args.samples, seed=args.seed,
                        loop_samples=args.loop_samples)
+    result["provenance"] = _provenance()
     text = json.dumps(result, indent=2)
     print(text)
     if args.output:

@@ -10,18 +10,23 @@ path (:meth:`AirchitectV2.predict_indices`):
 
 * :class:`DSEPredictor` — the simple per-call API;
 * :class:`BatchedDSEPredictor` — the batched engine: one vectorised
-  encoder→decoder pass per model tile under ``no_grad``, plus an optional
-  cost-annotated sweep.  Predictions are identical to the per-sample path
+  encoder→decoder pass per model tile under ``no_grad``, the tiles of a
+  call spread over one thread per CPU, plus an optional cost-annotated
+  sweep.  Predictions are identical to the per-sample path
   by construction; only the throughput differs.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
 
+from .. import nn
 from ..dse import DSEDataset, DSEProblem, ExhaustiveOracle
 from ..obs import current_engine_contexts
 from .model import AirchitectV2
@@ -117,6 +122,33 @@ class DSEPredictor:
         return self.model.predict_indices(inputs)
 
 
+# This process's tile threads, one per usable CPU, made on first use.  A
+# forked child gets none of its parent's threads, so it starts afresh.
+_TILE_POOL: ThreadPoolExecutor | None = None
+_TILE_POOL_LOCK = threading.Lock()
+
+
+def _forget_tile_pool() -> None:
+    global _TILE_POOL, _TILE_POOL_LOCK
+    _TILE_POOL, _TILE_POOL_LOCK = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_tile_pool)
+
+
+def _tile_pool() -> ThreadPoolExecutor | None:
+    """The process's tile threads; ``None`` where tiles run inline: on
+    one CPU, or where OpenBLAS's threads cannot be held at one."""
+    global _TILE_POOL
+    with _TILE_POOL_LOCK:
+        if (_TILE_POOL is None and nn.blas_threads() is not None
+                and len(os.sched_getaffinity(0)) > 1):
+            _TILE_POOL = ThreadPoolExecutor(len(os.sched_getaffinity(0)),
+                                            thread_name_prefix="repro-tile")
+        return _TILE_POOL
+
+
 @dataclass
 class BatchPrediction:
     """Result of a batched design-space sweep.
@@ -156,11 +188,11 @@ class BatchedDSEPredictor:
     The model sets the rows per pass (:attr:`AirchitectV2.tile_rows`)
     from a byte budget rather than a row count, so a pass's temporaries
     fit in a core's L2 whatever the model's width.  Bigger passes are
-    not better on CPU: a 1024-row pass of the ``small`` model makes each
-    temporary a fresh ~6 MB array, faults ~18k pages back in from the OS
-    and costs ~185 us per row.  Its 170-row tiles cost ~125 us per row,
-    and ~95 us in a process that keeps its freed heap (``repro serve``
-    does), where they fault no pages at all (2-core x86-64, OpenBLAS).
+    not better on CPU: for a 4096-row call of the ``small`` model,
+    1024-row passes cost ~115-135 us per row and its 170-row tiles,
+    run inline, ~105-135 us.  Fanned out over the tile threads, the same
+    tiles cost ~87-92 us per row of wall time (3 runs of 8 repeats,
+    2-vCPU x86-64, OpenBLAS 0.3.31 as bundled with numpy).
 
     Parameters
     ----------
@@ -169,8 +201,10 @@ class BatchedDSEPredictor:
         (the baselines, which chunk internally) get one pass per call.
     on_batch:
         Optional ``callback(rows, elapsed_s)`` invoked after every
-        completed forward pass (one call per tile).  The serving layer
-        hangs its throughput accounting off this hook
+        completed forward pass (one call per tile, in tile order, on the
+        calling thread).  ``elapsed_s`` is the pass's own duration, so
+        passes that ran side by side on the tile threads overlap.  The
+        serving layer hangs its throughput accounting off this hook
         (:meth:`repro.serving.ServingStats.record_forward`).
     """
 
@@ -184,33 +218,55 @@ class BatchedDSEPredictor:
     def predict_indices(self, inputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Vectorised one-shot DSE over pre-built (batch, 4) input tuples.
 
-        Every forward pass reports to the ``on_batch`` hook and to the
-        active traces.
+        A call spanning two or more tiles runs them on the process's
+        tile threads (one per CPU) with OpenBLAS held at one thread; a
+        one-tile call runs inline.  Either way every tile writes its own
+        output rows, and the ``on_batch`` hook and the active traces hear
+        of every forward pass in tile order, from the calling thread.
         """
         contexts = current_engine_contexts()
         inputs = np.atleast_2d(np.asarray(inputs))
         pe_out = np.empty(len(inputs), dtype=np.int64)
         l2_out = np.empty(len(inputs), dtype=np.int64)
         step = getattr(self.model, "tile_rows", None) or max(len(inputs), 1)
-        for start in range(0, len(inputs), step):
-            chunk = inputs[start:start + step]
+        tiles = [slice(lo, min(lo + step, len(inputs)))
+                 for lo in range(0, len(inputs), step)]
+
+        def run(rows: slice) -> float:
             tick = time.perf_counter()
-            pe, l2 = self.model.predict_indices(chunk)
-            elapsed = time.perf_counter() - tick
-            if self.on_batch is not None:
-                self.on_batch(len(chunk), elapsed)
-            # One engine.forward span per trace sharing this coalesced
-            # pass: that is how a request served in a batch of 64 still
-            # sees "its" forward-pass time in its trace tree.
-            for ctx in contexts:
-                if ctx.tracer is not None:
-                    span = ctx.tracer.span("engine.forward", parent=ctx,
-                                           attributes={"rows": len(chunk)})
-                    span.start_time -= elapsed
-                    span.end(duration_s=elapsed)
-            sl = slice(start, start + len(chunk))
-            pe_out[sl], l2_out[sl] = pe, l2
+            pe_out[rows], l2_out[rows] = self.model.predict_indices(inputs[rows])
+            return time.perf_counter() - tick
+
+        pool = _tile_pool() if len(tiles) > 1 else None
+        if pool is None:
+            for rows in tiles:
+                self._report(rows, run(rows), contexts)
+            return pe_out, l2_out
+        with nn.one_blas_thread():
+            futures = [pool.submit(run, rows) for rows in tiles]
+            try:
+                for rows, future in zip(tiles, futures):
+                    self._report(rows, future.result(), contexts)
+            finally:
+                for future in futures:
+                    future.cancel()
+                wait(futures)
         return pe_out, l2_out
+
+    def _report(self, rows: slice, elapsed: float, contexts) -> None:
+        """Tell the ``on_batch`` hook and the active traces of one pass."""
+        count = rows.stop - rows.start
+        if self.on_batch is not None:
+            self.on_batch(count, elapsed)
+        # One engine.forward span per trace sharing this coalesced
+        # pass: that is how a request served in a batch of 64 still
+        # sees "its" forward-pass time in its trace tree.
+        for ctx in contexts:
+            if ctx.tracer is not None:
+                span = ctx.tracer.span("engine.forward", parent=ctx,
+                                       attributes={"rows": count})
+                span.start_time -= elapsed
+                span.end(duration_s=elapsed)
 
     def predict(self, m, n, k, dataflow) -> tuple[np.ndarray, np.ndarray]:
         """Predict (num_pes, l2_kb) for workload(s); scalars broadcast."""

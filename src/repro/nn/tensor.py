@@ -18,7 +18,8 @@ Design notes
 * Broadcasting in binary operations is handled by summing the upstream
   gradient over the broadcast axes (:func:`_unbroadcast`).
 * A module-level ``no_grad`` context manager disables graph recording for
-  inference-time code paths.
+  inference-time code paths.  The mode is per thread, so an inference
+  thread inside ``no_grad`` never stops another thread's training.
 * Optimisers may pin a preallocated gradient buffer onto a tensor
   (``_grad_buf``); accumulation then happens in place into that buffer, so
   flat-arena optimisers see every gradient land in one contiguous array
@@ -28,6 +29,7 @@ Design notes
 from __future__ import annotations
 
 import contextlib
+import threading
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -35,22 +37,29 @@ import numpy as np
 __all__ = ["Tensor", "no_grad", "is_grad_enabled", "as_tensor", "concat", "stack", "where"]
 
 
-_GRAD_ENABLED = [True]
+class _GradMode(threading.local):
+    """Per-thread grad mode; every thread starts with recording on."""
+
+    enabled = True
+
+
+_GRAD = _GradMode()
 
 
 @contextlib.contextmanager
 def no_grad():
-    """Context manager that disables gradient graph construction."""
-    _GRAD_ENABLED.append(False)
+    """Context manager that disables gradient graph construction on the
+    calling thread."""
+    previous, _GRAD.enabled = _GRAD.enabled, False
     try:
         yield
     finally:
-        _GRAD_ENABLED.pop()
+        _GRAD.enabled = previous
 
 
 def is_grad_enabled() -> bool:
-    """Return whether operations currently record the autograd graph."""
-    return _GRAD_ENABLED[-1]
+    """Return whether operations on this thread record the autograd graph."""
+    return _GRAD.enabled
 
 
 def records(parents: Sequence["Tensor"]) -> bool:
@@ -60,7 +69,7 @@ def records(parents: Sequence["Tensor"]) -> bool:
     saving backward intermediates (and to work in place) when no backward
     can ever run.
     """
-    return _GRAD_ENABLED[-1] and any(p.requires_grad for p in parents)
+    return _GRAD.enabled and any(p.requires_grad for p in parents)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

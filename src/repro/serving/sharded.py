@@ -1,7 +1,9 @@
 """Shard large design-space sweeps across worker processes.
 
-Python-side forward passes hold the GIL, so beyond one core the batched
-engine scales with *processes*, not threads.  The executor:
+The in-process engine spreads one call's tiles over threads; this
+executor spreads a sweep's shards over processes instead.  Each worker
+holds OpenBLAS at one thread and runs its tiles inline, so processes x
+threads x BLAS threads never oversubscribe the cores.  The executor:
 
 * writes the model's state dict once (``save_module``) and has each
   worker rebuild + load it in its pool initializer — one model load per
@@ -59,17 +61,17 @@ import numpy as np
 from ..core import AirchitectV2, BatchedDSEPredictor, BatchPrediction
 from ..dse import ExhaustiveOracle
 from ..faults import PoolBrokenError, PoolSupervisor, RetryPolicy, fire
-from ..nn import load_module, save_module
+from ..nn import load_module, one_blas_thread, save_module
 
 __all__ = ["ShardedSweepExecutor", "AutoscalePolicy", "AutoscaleDecision"]
 
-# Per-worker-process engine, installed by _init_worker (one per pool
+# Per-worker-process model, installed by _init_worker (one per pool
 # process; plain module global because pool workers are single-threaded).
-_WORKER_ENGINE: BatchedDSEPredictor | None = None
+_WORKER_MODEL: AirchitectV2 | None = None
 
 
 def _init_worker(config, problem, state_path: str) -> None:
-    global _WORKER_ENGINE
+    global _WORKER_MODEL
     # A terminal Ctrl-C lands on the whole foreground process *group*,
     # workers included; dying mid-IPC can wedge the parent's
     # pool.terminate()/join().  The parent owns worker lifecycle, so
@@ -78,7 +80,11 @@ def _init_worker(config, problem, state_path: str) -> None:
     model = AirchitectV2(config, problem, np.random.default_rng(0))
     load_module(model, state_path)
     model.eval()
-    _WORKER_ENGINE = BatchedDSEPredictor(model)
+    # One BLAS thread for the worker's whole life (never exited): the
+    # pool's processes are the parallelism, and the model runs its
+    # tiles inline on this thread.
+    one_blas_thread().__enter__()
+    _WORKER_MODEL = model
 
 
 def _run_shard(args: tuple[int, np.ndarray]) -> tuple[int, np.ndarray, np.ndarray]:
@@ -89,7 +95,7 @@ def _run_shard(args: tuple[int, np.ndarray]) -> tuple[int, np.ndarray, np.ndarra
     hit = fire("pool.shard_hang")
     if hit is not None:
         time.sleep(float(hit.get("hang_s", 3600.0)))
-    pe_idx, l2_idx = _WORKER_ENGINE.predict_indices(inputs)
+    pe_idx, l2_idx = _WORKER_MODEL.predict_indices(inputs)
     return shard_idx, pe_idx, l2_idx
 
 

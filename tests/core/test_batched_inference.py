@@ -8,11 +8,16 @@ several of the model's inference tiles.
 
 from __future__ import annotations
 
+import multiprocessing
+import threading
+
 import numpy as np
 import pytest
 
+from repro import nn
 from repro.core import (AirchitectV2, BatchedDSEPredictor, DSEPredictor,
                         ModelConfig, evaluate_model, evaluate_predictions)
+from repro.core.inference import _tile_pool
 from repro.core.model import TILE_BYTES
 
 
@@ -140,6 +145,132 @@ class TestOnBatchHook:
         hooked = BatchedDSEPredictor(model, on_batch=lambda *a: None)
         np.testing.assert_array_equal(hooked.predict_indices(inputs),
                                       plain.predict_indices(inputs))
+
+
+needs_tile_threads = pytest.mark.skipif(
+    _tile_pool() is None,
+    reason="tiles run inline: one CPU, or no OpenBLAS thread controls")
+
+
+def _record_tile_threads(model: AirchitectV2) -> list[str]:
+    """Shadow ``model.predict_indices`` to log the thread of each tile."""
+    names: list[str] = []
+    inline = model.predict_indices
+
+    def predict_indices(inputs):
+        names.append(threading.current_thread().name)
+        return inline(inputs)
+
+    model.predict_indices = predict_indices
+    return names
+
+
+def _predict_in_forked_child(engine, inputs, expected) -> int | None:
+    """Exit code of a forked child that runs ``engine`` over ``inputs``
+    and checks it against ``expected``; ``None`` if it hung."""
+    def child():
+        pe, l2 = engine.predict_indices(inputs)
+        ok = np.array_equal(pe, expected[0]) and np.array_equal(l2, expected[1])
+        raise SystemExit(0 if ok else 1)
+
+    proc = multiprocessing.get_context("fork").Process(target=child)
+    proc.start()
+    proc.join(timeout=60)
+    if proc.is_alive():
+        proc.kill()
+        proc.join()
+        return None
+    return proc.exitcode
+
+
+@needs_tile_threads
+class TestTileThreads:
+    @pytest.mark.parametrize("tiles", [0, 1, 2, 7])
+    def test_fan_out_equals_inline_bit_for_bit(self, problem, tiles):
+        """1 row, one full tile, two tiles plus 22 rows, and seven
+        tiles: the engine's output equals the model's inline tile loop,
+        and calls spanning two or more tiles run on the tile threads."""
+        model = _model(problem, 4)
+        tile = model.tile_rows
+        rows = {0: 1, 1: tile, 2: 2 * tile + 22, 7: 7 * tile}[tiles]
+        inputs = problem.sample_inputs(rows, np.random.default_rng(rows))
+        inline = model.predict_indices(inputs)
+        names = _record_tile_threads(model)
+        pe, l2 = BatchedDSEPredictor(model).predict_indices(inputs)
+        np.testing.assert_array_equal(pe, inline[0])
+        np.testing.assert_array_equal(l2, inline[1])
+        on_tile_threads = [name.startswith("repro-tile") for name in names]
+        assert on_tile_threads == [tiles > 1] * len(names)
+
+    def test_blas_threads_restored_after_fan_out(self, problem):
+        before = nn.blas_threads()
+        model = _model(problem, 4)
+        engine = BatchedDSEPredictor(model)
+        engine.predict_indices(problem.sample_inputs(
+            3 * model.tile_rows, np.random.default_rng(0)))
+        assert nn.blas_threads() == before
+
+    def test_blas_threads_restored_after_a_tile_raises(self, problem):
+        before = nn.blas_threads()
+        model = _model(problem, 4)
+        inputs = problem.sample_inputs(4 * model.tile_rows,
+                                       np.random.default_rng(0))
+        expected = model.predict_indices(inputs)
+        inline = model.predict_indices
+        calls = []
+
+        def failing(rows):
+            calls.append(len(rows))
+            if len(calls) == 2:
+                raise RuntimeError("tile failed")
+            return inline(rows)
+
+        model.predict_indices = failing
+        engine = BatchedDSEPredictor(model)
+        with pytest.raises(RuntimeError, match="tile failed"):
+            engine.predict_indices(inputs)
+        assert nn.blas_threads() == before
+        model.predict_indices = inline
+        np.testing.assert_array_equal(engine.predict_indices(inputs),
+                                      expected)
+
+    def test_blas_threads_restored_after_concurrent_fan_outs(self, problem):
+        before = nn.blas_threads()
+        model = _model(problem, 4)
+        inputs = problem.sample_inputs(5 * model.tile_rows + 3,
+                                       np.random.default_rng(0))
+        expected = model.predict_indices(inputs)
+        engine = BatchedDSEPredictor(model)
+        start = threading.Barrier(2)
+        results = []
+
+        def call():
+            start.wait(timeout=30)
+            for _ in range(3):
+                results.append(engine.predict_indices(inputs))
+
+        callers = [threading.Thread(target=call) for _ in range(2)]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+        assert not any(caller.is_alive() for caller in callers)
+        assert len(results) == 6
+        for pe, l2 in results:
+            np.testing.assert_array_equal(pe, expected[0])
+            np.testing.assert_array_equal(l2, expected[1])
+        assert nn.blas_threads() == before
+
+    def test_forked_child_fans_out_on_threads_of_its_own(self, problem):
+        """The parent's tile threads do not exist in a forked child:
+        its multi-tile calls must start their own instead of queueing
+        work for threads that will never run it."""
+        model = _model(problem, 4)
+        engine = BatchedDSEPredictor(model)
+        inputs = problem.sample_inputs(3 * model.tile_rows + 5,
+                                       np.random.default_rng(0))
+        expected = engine.predict_indices(inputs)     # parent's threads up
+        assert _predict_in_forked_child(engine, inputs, expected) == 0
 
 
 class TestEvaluateModelUsesBatchedPath:

@@ -14,7 +14,8 @@ import sys
 import numpy as np
 import pytest
 
-from repro.core import AirchitectV2, Stage1Config, Stage1Trainer
+from repro.core import (AirchitectV2, BatchedDSEPredictor, Stage1Config,
+                        Stage1Trainer)
 from repro.dse import generate_random_dataset
 from repro.experiments.harness import get_scale
 from repro.train import Callback
@@ -37,6 +38,20 @@ def test_retained_heap_lets_tiles_reuse_pages(problem):
     model.predict_indices(inputs)
     before = _minor_faults()
     model.predict_indices(inputs)
+    faults = _minor_faults() - before
+    assert faults < 2 * len(inputs)
+
+
+def test_tile_threads_reuse_the_pinned_heap(problem):
+    """The engine's tile threads share the one pinned arena, so a warm
+    fanned-out sweep reuses its pages as the inline loop does."""
+    model = AirchitectV2(get_scale("small").model_config(), problem,
+                         np.random.default_rng(0))
+    engine = BatchedDSEPredictor(model)
+    inputs = problem.sample_inputs(1024, np.random.default_rng(1))
+    engine.predict_indices(inputs)
+    before = _minor_faults()
+    engine.predict_indices(inputs)
     faults = _minor_faults() - before
     assert faults < 2 * len(inputs)
 

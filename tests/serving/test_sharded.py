@@ -11,6 +11,7 @@ import textwrap
 import numpy as np
 import pytest
 
+from repro import nn
 from repro.core import BatchedDSEPredictor
 from repro.faults import RetryPolicy
 from repro.serving import AutoscalePolicy, ShardedSweepExecutor
@@ -78,6 +79,14 @@ class TestParity:
             pool = ex._pool
             ex.predict_indices(problem.sample_inputs(200, rng))
             assert ex._pool is pool    # workers load the model once
+
+    @pytest.mark.skipif(nn.blas_threads() is None,
+                        reason="no OpenBLAS thread controls")
+    def test_workers_run_one_blas_thread(self, serve_model):
+        """Processes are the pool's parallelism: a worker holds OpenBLAS
+        at one thread, so processes x BLAS threads fit the cores."""
+        with ShardedSweepExecutor(serve_model, num_workers=2) as ex:
+            assert ex._ensure_pool().apply(nn.blas_threads) == 1
 
     def test_single_worker_never_forks(self, serve_model, problem, rng):
         ex = ShardedSweepExecutor(serve_model, num_workers=1)
