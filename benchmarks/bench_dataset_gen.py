@@ -30,6 +30,7 @@ import time
 
 import numpy as np
 import pytest
+from bench_train_step import _provenance
 
 from repro.dse import DSEProblem, ExhaustiveOracle, ShardedLabeller
 
@@ -92,6 +93,7 @@ def main(argv: list[str] | None = None) -> int:
 
     result = run_bench(samples=args.samples, workers=args.workers,
                        seed=args.seed)
+    result["provenance"] = _provenance()
     text = json.dumps(result, indent=2)
     print(text)
     if args.output:

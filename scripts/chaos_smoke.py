@@ -1,16 +1,18 @@
-"""CI chaos smoke: kill a pool worker mid-sweep, trip the breaker, recover.
+"""CI chaos smoke: kill a labelling worker mid-shard, trip the breaker,
+recover.
 
-Two phases against in-process :class:`repro.serving.DSEServer` instances
-(in-process so the script can reach the supervisor and assert on its
-recovery counters):
+Two phases, both in-process so the script can reach the supervisor and
+the breaker and assert on their counters:
 
-1. **Self-healing sweep** — arm ``pool.worker_crash`` (one worker dies
-   hard mid-shard), stream a pooled ``POST /sweep``, and require that it
-   completes, that a fault-free re-run of the same seeded sweep is
-   bit-identical, and that ``/metrics`` shows the recovery
-   (``repro_retry_total`` > 0, ``repro_pool_rebuilds_total`` > 0).
-2. **Circuit breaker** — arm ``engine.transient_error`` so two
-   ``/predict`` calls fail, require the breaker to open (503 +
+1. **Self-healing labelling pool** — arm ``pool.worker_crash`` (one
+   worker dies hard mid-shard), label a seeded batch through a
+   two-worker :class:`repro.dse.ShardedLabeller`, and require labels
+   bit-identical to the serial :meth:`ExhaustiveOracle.solve`, at least
+   one shard retry and one pool rebuild, and a labeller that healed
+   instead of degrading to serial labelling.
+2. **Circuit breaker** — against an in-process
+   :class:`repro.serving.DSEServer`, arm ``engine.transient_error`` so
+   two ``/predict`` calls fail, require the breaker to open (503 +
    ``Retry-After``), then half-open after the reset window and close on
    a successful probe.
 
@@ -32,11 +34,11 @@ import urllib.request
 import numpy as np
 
 from repro.core import AirchitectV2, ModelConfig
-from repro.dse import DSEProblem
+from repro.dse import DSEProblem, ExhaustiveOracle, ShardedLabeller
 from repro.faults import inject_faults
 from repro.serving import DSEServer
 
-SWEEP_BODY = {"random": 2048, "seed": 7, "chunk_size": 1024}
+LABEL_ROWS = 512
 WORKLOAD = {"m": 64, "n": 512, "k": 256, "dataflow": 1}
 
 
@@ -60,16 +62,6 @@ def _post(server, path: str, doc) -> tuple[int, dict, dict]:
         return err.code, json.loads(err.read()), dict(err.headers)
 
 
-def _sweep_predictions(server) -> list[dict]:
-    req = urllib.request.Request(server.url + "/sweep",
-                                 data=json.dumps(SWEEP_BODY).encode())
-    with urllib.request.urlopen(req, timeout=300) as resp:
-        lines = [json.loads(line) for line in resp.read().splitlines()]
-    if not lines[-1].get("done"):
-        fail(f"sweep stream did not finish cleanly: {lines[-1]}")
-    return [p for chunk in lines[1:-1] for p in chunk["predictions"]]
-
-
 def _metric(text: str, series: str) -> float | None:
     for line in text.splitlines():
         if line.startswith(series + " "):
@@ -82,44 +74,39 @@ def _scrape(server) -> str:
         return resp.read().decode()
 
 
-def phase_self_healing_sweep() -> None:
+def phase_self_healing_labeller() -> None:
     if "fork" not in multiprocessing.get_all_start_methods():
-        print("SKIP: self-healing sweep (no fork start method)")
+        print("SKIP: self-healing labelling pool (no fork start method)")
         return
-    # Arm before the server exists so the lazily-forked pool workers
-    # inherit the armed registry; the shared one-shot budget means the
-    # crash fires in exactly one worker, once.
-    with inject_faults({"pool.worker_crash": 1}):
-        server = DSEServer(_tiny_model(), port=0, sweep_workers=2,
-                           shard_timeout_s=5.0, max_batch_size=16)
-        with server:
-            chaotic = _sweep_predictions(server)
-            text = _scrape(server)
-            route = server._route(None)
-            sup = route.executor._supervisor
-            if sup.retries < 1:
-                fail(f"worker crash did not trigger a retry "
-                     f"(retries={sup.retries})")
-            if sup.degraded:
-                fail("executor degraded instead of healing the pool")
-            retry = _metric(text, 'repro_retry_total'
-                                  '{model="default",component="sweep"}')
-            rebuilds = _metric(text, 'repro_pool_rebuilds_total'
-                                     '{model="default",component="sweep"}')
-            if not retry or retry < 1:
-                fail(f"repro_retry_total not visible in /metrics ({retry})")
-            if not rebuilds or rebuilds < 1:
-                fail(f"repro_pool_rebuilds_total not visible ({rebuilds})")
-            if _metric(text, 'repro_fault_fired'
-                             '{point="pool.worker_crash"}') != 1:
-                fail("repro_fault_fired did not record the injected crash")
-            # Same seed, crash budget exhausted: the clean pooled run
-            # must be bit-identical to the recovered one.
-            clean = _sweep_predictions(server)
-    if chaotic != clean:
-        fail("recovered sweep predictions differ from the fault-free run")
-    print(f"PASS: sweep survived a SIGKILLed worker bit-identically "
-          f"({len(chaotic)} predictions, {sup.retries} shard retries, "
+    problem = DSEProblem()
+    inputs = problem.sample_inputs(LABEL_ROWS, np.random.default_rng(7))
+    expected = ExhaustiveOracle(problem).solve(inputs)
+    # Armed before the pool forks, so the workers inherit the shared
+    # one-shot budget: the crash fires in exactly one worker, once.
+    with inject_faults({"pool.worker_crash": 1}) as armed:
+        with ShardedLabeller(ExhaustiveOracle(problem), num_workers=2,
+                             mp_context="fork", shard_timeout_s=5.0) \
+                as labeller:
+            result = labeller.label(inputs)
+            sup = labeller._supervisor
+        fired = armed.snapshot()["pool.worker_crash"]["fired"]
+    if fired != 1:
+        fail(f"the injected worker crash fired {fired} times, expected 1")
+    for field in ("pe_idx", "l2_idx", "best_cost"):
+        if not np.array_equal(getattr(result, field),
+                              getattr(expected, field)):
+            fail(f"recovered labels differ from the serial oracle "
+                 f"({field})")
+    if sup.retries < 1:
+        fail(f"worker crash did not trigger a retry (retries={sup.retries})")
+    if sup.rebuilds < 1:
+        fail(f"worker crash did not rebuild the pool "
+             f"(rebuilds={sup.rebuilds})")
+    if sup.degraded:
+        fail(f"labeller degraded instead of healing the pool: "
+             f"{sup.degraded_reason}")
+    print(f"PASS: labelling survived a SIGKILLed worker bit-identically "
+          f"({len(inputs)} rows, {sup.retries} shard retries, "
           f"{sup.rebuilds} pool rebuild(s))")
 
 
@@ -162,7 +149,7 @@ def main() -> None:
         signal.signal(signal.SIGALRM,
                       lambda *_: fail("chaos smoke exceeded 300s"))
         signal.alarm(300)
-    phase_self_healing_sweep()
+    phase_self_healing_labeller()
     phase_circuit_breaker()
     print("chaos smoke: all phases passed")
 

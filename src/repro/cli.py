@@ -22,7 +22,7 @@ Examples::
 
     # Multi-model serving from a model registry (routes by the request's
     # "model" field; streaming bulk sweeps via POST /sweep):
-    python -m repro serve --registry .repro_cache --sweep-workers 4
+    python -m repro serve --registry .repro_cache
     python -m repro predict --registry .repro_cache \\
         --model-id v2_small_s0 --random 100 --batch
 
@@ -487,10 +487,6 @@ def serve_main(argv: list[str] | None = None) -> int:
     parser.add_argument("--max-models", type=int, default=None,
                         help="cap on resident registry models; the least-"
                              "recently-served is evicted beyond this")
-    parser.add_argument("--sweep-workers", type=int, default=None,
-                        help="run /sweep chunks through an autoscaled "
-                             "sharded executor with up to this many worker "
-                             "processes (default: in-process)")
     parser.add_argument("--async", action="store_true",
                         help="no-op, kept for old command lines: asyncio is "
                              "the only transport")
@@ -511,12 +507,6 @@ def serve_main(argv: list[str] | None = None) -> int:
                         metavar="SECONDS",
                         help="how long an open breaker sheds load before "
                              "admitting a half-open probe (default 30)")
-    parser.add_argument("--shard-timeout", type=float, default=120.0,
-                        metavar="SECONDS",
-                        help="per-shard deadline for --sweep-workers pools; "
-                             "a lost or hung worker costs one timeout, then "
-                             "its shards retry on a rebuilt pool "
-                             "(default 120)")
     parser.add_argument("--trace-file", metavar="FILE", default=None,
                         help="append finished request spans as NDJSON to "
                              "this file (traces also live in an in-memory "
@@ -535,8 +525,6 @@ def serve_main(argv: list[str] | None = None) -> int:
         parser.error("--breaker-threshold must be >= 0")
     if args.breaker_reset <= 0:
         parser.error("--breaker-reset must be > 0")
-    if args.shard_timeout <= 0:
-        parser.error("--shard-timeout must be > 0")
     _check_model_args(parser, args, require_model_id=False)
 
     problem = get_problem()
@@ -552,12 +540,10 @@ def serve_main(argv: list[str] | None = None) -> int:
     common = dict(host=args.host, port=args.port,
                   max_batch_size=args.max_batch_size, oracle=oracle,
                   max_models=args.max_models,
-                  sweep_workers=args.sweep_workers,
                   max_queue=args.max_queue,
                   request_timeout_s=args.request_timeout,
                   breaker_threshold=args.breaker_threshold or None,
                   breaker_reset_s=args.breaker_reset,
-                  shard_timeout_s=args.shard_timeout,
                   trace_file=args.trace_file)
     from .registry import RegistryError
     try:

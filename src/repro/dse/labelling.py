@@ -2,9 +2,7 @@
 
 Labelling is the dominant cost of building the paper's 100K-sample dataset
 (§IV): every sample needs a full 64 x 12 design-grid evaluation.  The grid
-solve is pure single-threaded numpy, so — exactly like the serving-side
-:class:`repro.serving.ShardedSweepExecutor` this mirrors — it scales with
-*processes*:
+solve is pure single-threaded numpy, so it scales with *processes*:
 
 * each pool worker builds one :class:`ExhaustiveOracle` clone (same
   problem, cost model and tolerance) in its initializer;
@@ -16,7 +14,7 @@ solve is pure single-threaded numpy, so — exactly like the serving-side
   partitions rows, and the grid evaluation is deterministic — including
   when a killed/hung worker forces shard retries on a rebuilt pool, or
   when repeated pool failure degrades the remaining shards to the serial
-  path (the supervisor's self-healing, shared with the sweep executor);
+  path (the supervisor's self-healing);
 * solved labels are imported back into the parent oracle's LRU cache, so
   later serial solves (and the persistent cache snapshot) stay warm;
 * ``num_workers <= 1``, small batches, and platforms that refuse to spawn

@@ -7,8 +7,8 @@ Three cooperating pieces:
   ``storage.torn_write``, ``engine.transient_error``) armed via
   :func:`inject_faults` or the ``REPRO_FAULTS`` environment variable,
   with a zero-overhead disarmed path.
-* :mod:`~repro.faults.supervisor` — :class:`PoolSupervisor`, the shared
-  self-healing core of the sweep/labelling process pools: per-shard
+* :mod:`~repro.faults.supervisor` — :class:`PoolSupervisor`, the
+  self-healing core of the labelling process pool: per-shard
   timeouts, retry-on-rebuilt-pool with :class:`RetryPolicy` backoff,
   graceful degradation to in-process execution.
 * :mod:`~repro.faults.breaker` — the per-route serving

@@ -5,7 +5,7 @@ places in the execution and persistence layers where real production
 failures strike:
 
 ``pool.worker_crash``
-    A sweep/labelling pool worker dies mid-shard (``os._exit``, i.e. a
+    A labelling pool worker dies mid-shard (``os._exit``, i.e. a
     SIGKILL-equivalent: no exception, no result, no cleanup).
 ``pool.shard_hang``
     A worker wedges inside a shard (``time.sleep(hang_s)``), exercising
@@ -22,7 +22,7 @@ Arming is explicit and scoped::
     from repro import faults
 
     with faults.inject_faults({"pool.worker_crash": 1}):
-        executor.predict_indices(inputs)     # one worker will die
+        labeller.label(inputs)      # one worker will die
 
 or via the ``REPRO_FAULTS`` environment variable (JSON or the compact
 ``name=times[:key=value...]`` form), which is how *spawn*-started pool

@@ -1,7 +1,6 @@
 """Self-healing process-pool supervision.
 
-:class:`PoolSupervisor` is the shared core behind
-:class:`repro.serving.ShardedSweepExecutor` and
+:class:`PoolSupervisor` is the self-healing core of
 :class:`repro.dse.ShardedLabeller`: it owns the ``multiprocessing.Pool``,
 dispatches pure index-tagged shards with a per-shard timeout, and — when
 a worker is lost (SIGKILL), hangs, or a shard raises — retries exactly
@@ -103,7 +102,6 @@ class PoolSupervisor:
 
     def __init__(self, factory, *, shard_timeout_s: float | None = 120.0,
                  retry: RetryPolicy | None = None, name: str = "pool",
-                 registry=None, labels: dict | None = None,
                  sleep=time.sleep):
         self._factory = factory
         self.shard_timeout_s = shard_timeout_s
@@ -117,23 +115,6 @@ class PoolSupervisor:
         self.degraded_reason: str | None = None
         self.retries = 0        # shards re-dispatched
         self.rebuilds = 0       # pools rebuilt after a failure
-        self._retry_metric = self._rebuild_metric = self._degraded_metric \
-            = None
-        if registry is not None:
-            labels = dict(labels or {})
-            names = tuple(labels)
-            self._retry_metric = registry.counter(
-                "repro_retry_total",
-                "Shards re-dispatched after a pool worker was lost, hung "
-                "or raised.", label_names=names).labels(**labels)
-            self._rebuild_metric = registry.counter(
-                "repro_pool_rebuilds_total",
-                "Process pools torn down and rebuilt after a failure.",
-                label_names=names).labels(**labels)
-            self._degraded_metric = registry.counter(
-                "repro_pool_degraded_total",
-                "Times a pool gave up and execution degraded in-process.",
-                label_names=names).labels(**labels)
 
     # -- pool lifecycle ---------------------------------------------------
 
@@ -181,8 +162,6 @@ class PoolSupervisor:
         if not self.degraded:
             self.degraded = True
             self.degraded_reason = reason
-            if self._degraded_metric is not None:
-                self._degraded_metric.inc()
             self._log.warning("%s: degrading to in-process execution: %s",
                               self._name, reason)
 
@@ -209,8 +188,6 @@ class PoolSupervisor:
             if not pending:
                 break
             self.retries += len(pending)
-            if self._retry_metric is not None:
-                self._retry_metric.inc(len(pending))
             self._teardown()
             if attempt >= self.retry.max_rebuilds:
                 self._mark_degraded(
@@ -230,8 +207,6 @@ class PoolSupervisor:
                 self._sleep(delay)
             attempt += 1
             self.rebuilds += 1
-            if self._rebuild_metric is not None:
-                self._rebuild_metric.inc()
         return results
 
     def _dispatch(self, pool, func, pending: dict, results: dict):

@@ -8,8 +8,8 @@ values.  Three primitive types cover the repo's telemetry:
 * :class:`Counter` — monotonically non-decreasing sums (requests,
   batches, errors, accumulated seconds);
 * :class:`Gauge` — instantaneous values that go both ways (in-flight
-  requests, last autoscale plan), optionally computed lazily at scrape
-  time via :meth:`Gauge.set_function`;
+  requests, circuit-breaker state), optionally computed lazily at
+  scrape time via :meth:`Gauge.set_function`;
 * :class:`Histogram` — bucketed distributions backed by
   :class:`LatencyHistogram` (64 geometric buckets + overflow, O(1)
   records, mergeable snapshots) — the same histogram the serving layer
@@ -23,7 +23,7 @@ scrapes never stall the hot path.
 :meth:`MetricsRegistry.render` emits the Prometheus text exposition
 format (``# HELP``/``# TYPE`` lines, one series per child,
 ``_bucket``/``_sum``/``_count`` expansion for histograms) — what
-``GET /metrics`` serves on both HTTP front-ends.
+``GET /metrics`` serves.
 """
 
 from __future__ import annotations

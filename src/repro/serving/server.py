@@ -36,9 +36,8 @@ Endpoints
     of predictions as soon as it is computed, and a summary line — a
     million-point sweep starts flowing after the first chunk instead of
     after the last.  A mid-stream failure appends an ``{"error": ...}``
-    line and closes the connection.  With ``--sweep-workers``, chunks run
-    through an autoscaled :class:`~repro.serving.ShardedSweepExecutor`
-    whose decision trace ``GET /stats`` exposes.
+    line and closes the connection.  Chunks run on the route's own
+    engine, which spreads each chunk's tiles over the server's cores.
 ``GET /models``
     The registry/route listing: every active route and every discoverable
     registry artifact, with manifest summaries and load state.
@@ -46,13 +45,13 @@ Endpoints
     ``{"status": "ok", "uptime_s": ...}`` — liveness probe.
 ``GET /stats``
     Aggregate serving counters plus a per-model breakdown (requests,
-    batches, queue waits, forward passes, sweep/chunk counts, autoscale
-    decision traces, oracle cache hit rate).
+    batches, queue waits, forward passes, sweep/chunk counts, oracle
+    cache hit rate).
 ``GET /metrics``
     The same numbers in the Prometheus text exposition format, rendered
     from the server's :class:`~repro.obs.MetricsRegistry` — every
-    route's :class:`ServingStats` series (labelled by model), autoscale
-    gauges, uptime and in-flight gauges.
+    route's :class:`ServingStats` series (labelled by model), uptime and
+    in-flight gauges.
 
 Requests are traced end to end: each ``/predict`` or ``/sweep`` gets a
 front-end span (honouring an ``X-Trace-Id`` request header, minting an
@@ -62,8 +61,9 @@ Responses echo ``X-Trace-Id``; spans land in the tracer's bounded ring
 and, with a sink configured, an NDJSON file.
 
 All error responses are JSON and close the connection: unknown routes
-and unknown models are ``404``, malformed or non-dict bodies and
-malformed request lines are ``400``, and a header line over 64 KiB or
+and unknown models are ``404``, malformed or non-dict bodies, a
+``with_cost``/``with_oracle`` that is not a JSON boolean and malformed
+request lines are ``400``, and a header line over 64 KiB or
 more than 100 headers is ``431`` — never a traceback or a silent
 hang-up.  Tail latency is bounded per route: a full admission queue
 (``max_queue``) answers ``429`` with ``Retry-After``, a request slower
@@ -103,7 +103,6 @@ from ..faults import fire
 from ..obs import MetricsRegistry, SpanContext, Tracer, get_logger
 from ..registry import ModelRegistry, RegistryError
 from .batcher import DynamicBatcher
-from .sharded import ShardedSweepExecutor
 from .stats import ServingStats
 
 __all__ = ["DSEServer", "ModelRoute"]
@@ -239,31 +238,37 @@ def _require_dict(doc, endpoint: str) -> dict:
     return doc
 
 
+def _flag(doc: dict, key: str) -> bool:
+    """A boolean request field: JSON ``true`` or ``false``; absent is
+    false.  Anything else (``"false"``, ``0``, ``null``) is a 400."""
+    value = doc.get(key, False)
+    if not isinstance(value, bool):
+        raise _BadRequest(f"{key!r} must be true or false, "
+                          f"got {json.dumps(value)[:64]}")
+    return value
+
+
 class ModelRoute:
-    """One served model: engine, dynamic-batcher queue, stats, executor.
+    """One served model: engine, dynamic-batcher queue, stats, breaker.
 
     Routes are the unit of multi-model serving: each has its own request
     queue (so one model's burst never stalls another's latency), its own
-    :class:`ServingStats`, and — when the server runs with sweep
-    workers — its own lazily-created autoscaled sweep executor.
+    :class:`ServingStats`, and one engine that serves both the batcher's
+    ``/predict`` passes and ``/sweep`` chunks.
     """
 
     def __init__(self, name: str, model: AirchitectV2, *,
                  max_batch_size: int,
                  source: str = "direct",
-                 sweep_workers: int | None = None,
                  max_queue: int | None = None,
                  breaker_threshold: int | None = 5,
                  breaker_reset_s: float = 30.0,
-                 shard_timeout_s: float | None = 120.0,
                  registry: MetricsRegistry | None = None):
         self.name = name
         self.model = model
         self.problem = model.problem
         self.source = source
-        self.sweep_workers = sweep_workers
         self.max_queue = max_queue
-        self.shard_timeout_s = shard_timeout_s
         self._inflight = 0
         self._admission_lock = threading.Lock()
         self.registry = registry
@@ -293,28 +298,6 @@ class ModelRoute:
         self.batcher = DynamicBatcher(self.engine,
                                       max_batch_size=max_batch_size,
                                       stats=self.stats, start=False)
-        self._executor: ShardedSweepExecutor | None = None
-        self._executor_lock = threading.Lock()
-
-    # ------------------------------------------------------------------
-    def sweep_engine(self):
-        """What ``/sweep`` chunks run on: the autoscaled sharded executor
-        when the server was configured with sweep workers, the in-process
-        engine otherwise.  Bit-identical predictions either way."""
-        if self.sweep_workers is None or self.sweep_workers <= 1:
-            return self.engine
-        with self._executor_lock:
-            if self._executor is None:
-                self._executor = ShardedSweepExecutor(
-                    self.model, num_workers=self.sweep_workers,
-                    autoscale=True, shard_timeout_s=self.shard_timeout_s,
-                    registry=self.registry,
-                    labels={"model": self.name})
-            return self._executor
-
-    @property
-    def executor(self) -> ShardedSweepExecutor | None:
-        return self._executor
 
     # ------------------------------------------------------------------
     # Admission control (the bounded per-route queue)
@@ -343,10 +326,6 @@ class ModelRoute:
 
     def stop(self) -> None:
         self.batcher.stop()
-        with self._executor_lock:
-            if self._executor is not None:
-                self._executor.close()
-                self._executor = None
         if self.registry is not None:
             # Drop the lazy gauges so an evicted route's scrape callbacks
             # cannot outlive the route (counters stay: they are history).
@@ -368,8 +347,6 @@ class ModelRoute:
         if self.breaker is not None:
             doc["breaker"] = {"state": self.breaker.state,
                               "opens": self.breaker.opens}
-        if self._executor is not None:
-            doc["autoscale"] = list(self._executor.decision_trace)
         return doc
 
 
@@ -407,10 +384,6 @@ class DSEServer:
         Cap on concurrently-active *registry* routes; the
         least-recently-served one is stopped and evicted beyond this.
         Directly-attached models are never evicted.
-    sweep_workers:
-        Give each route an autoscaled :class:`ShardedSweepExecutor` with
-        this many max workers for ``POST /sweep`` chunks (default: sweep
-        in-process).
     max_queue:
         Bounded per-route admission queue: above this many in-flight
         requests (queued or being served) a route answers HTTP 429 with
@@ -425,11 +398,6 @@ class DSEServer:
         ``Retry-After``) for ``breaker_reset_s`` seconds, then admits a
         single half-open probe.  ``breaker_threshold=None`` disables the
         breaker entirely.
-    shard_timeout_s:
-        Per-shard result deadline for each route's sweep executor — a
-        lost or hung pool worker is declared dead after this long and
-        its shards retried on a rebuilt pool (see
-        :class:`~repro.faults.PoolSupervisor`).
     tracer:
         Optional pre-built :class:`~repro.obs.Tracer` shared with the
         embedding application; one is created per server otherwise.
@@ -449,12 +417,10 @@ class DSEServer:
                  model_ids: list[str] | None = None,
                  default_model: str | None = None,
                  max_models: int | None = None,
-                 sweep_workers: int | None = None,
                  max_queue: int | None = None,
                  retry_after_s: float = 1.0,
                  breaker_threshold: int | None = 5,
                  breaker_reset_s: float = 30.0,
-                 shard_timeout_s: float | None = 120.0,
                  tracer: Tracer | None = None,
                  trace_file: str | None = None,
                  enable_tracing: bool = True):
@@ -469,12 +435,10 @@ class DSEServer:
         self.started_at = time.time()
         self.max_batch_size = max_batch_size
         self.max_models = max_models
-        self.sweep_workers = sweep_workers
         self.max_queue = max_queue
         self.retry_after_s = retry_after_s
         self.breaker_threshold = breaker_threshold
         self.breaker_reset_s = breaker_reset_s
-        self.shard_timeout_s = shard_timeout_s
         self._model_ids = list(model_ids) if model_ids is not None else None
         self.log = get_logger("serving.server")
         # One registry per server: every route's ServingStats publishes
@@ -553,11 +517,9 @@ class DSEServer:
                   source: str = "direct") -> ModelRoute:
         """Attach a model under ``name`` (started if the server runs)."""
         route = ModelRoute(name, model, max_batch_size=self.max_batch_size,
-                           source=source, sweep_workers=self.sweep_workers,
-                           max_queue=self.max_queue,
+                           source=source, max_queue=self.max_queue,
                            breaker_threshold=self.breaker_threshold,
                            breaker_reset_s=self.breaker_reset_s,
-                           shard_timeout_s=self.shard_timeout_s,
                            registry=self.metrics)
         with self._route_lock:
             if name in self.routes:
@@ -614,11 +576,9 @@ class DSEServer:
             if name not in self.routes:     # racing request may have won
                 route = ModelRoute(
                     name, loaded, max_batch_size=self.max_batch_size,
-                    source="registry", sweep_workers=self.sweep_workers,
-                    max_queue=self.max_queue,
+                    source="registry", max_queue=self.max_queue,
                     breaker_threshold=self.breaker_threshold,
                     breaker_reset_s=self.breaker_reset_s,
-                    shard_timeout_s=self.shard_timeout_s,
                     registry=self.metrics)
                 self.routes[name] = route
                 if self._running:
@@ -699,8 +659,11 @@ class DSEServer:
         queue wait and forward pass show up as child spans.
         """
         rows = _parse_workloads(doc)
-        is_dict = isinstance(doc, dict)
-        route = self._route(doc.get("model") if is_dict else None)
+        if not isinstance(doc, dict):
+            doc = {}
+        with_cost = _flag(doc, "with_cost")
+        with_oracle = _flag(doc, "with_oracle")
+        route = self._route(doc.get("model"))
         breaker = route.breaker
         if breaker is not None and not breaker.allow():
             raise _ServiceUnavailable(route.name, breaker.retry_after_s())
@@ -712,9 +675,8 @@ class DSEServer:
                                     self.retry_after_s)
             start = time.perf_counter()
             try:
-                result = self._predict_admitted(route, rows,
-                                                doc if is_dict else {},
-                                                trace)
+                result = self._predict_admitted(route, rows, with_cost,
+                                                with_oracle, trace)
             finally:
                 route.release()
                 route.stats.record_latency(time.perf_counter() - start)
@@ -732,14 +694,13 @@ class DSEServer:
             breaker.record_success()
         return result
 
-    def _predict_admitted(self, route: ModelRoute, rows, doc: dict,
+    def _predict_admitted(self, route: ModelRoute, rows, with_cost: bool,
+                          with_oracle: bool,
                           trace: SpanContext | None = None) -> dict:
         hit = fire("engine.transient_error")
         if hit is not None:
             raise TransientEngineError(
                 str(hit.get("message", "injected transient engine failure")))
-        with_cost = bool(doc.get("with_cost"))
-        with_oracle = bool(doc.get("with_oracle"))
         futures = []
         try:
             if len(rows) > route.batcher.max_batch_size:
@@ -824,7 +785,7 @@ class DSEServer:
             raise _BadRequest("'chunk_size' must be an integer") from None
         if not 1 <= chunk_size <= _MAX_SWEEP_CHUNK:
             raise _BadRequest(f"'chunk_size' must be in 1..{_MAX_SWEEP_CHUNK}")
-        with_cost = bool(doc.get("with_cost"))
+        with_cost = _flag(doc, "with_cost")
         # Admit last, after every validation error had its chance to
         # surface — a rejected body must not leak an admission slot (or
         # claim a half-open breaker's probe slot).
@@ -869,12 +830,11 @@ class DSEServer:
         chunks = -(-total // chunk_size)
         yield {"model": route.name, "count": total, "chunk_size": chunk_size,
                "chunks": chunks, "with_cost": with_cost}
-        engine = route.sweep_engine()
         oracle = self._ensure_oracle(route.problem) if with_cost else None
         start = time.perf_counter()
         for index, lo in enumerate(range(0, total, chunk_size)):
             chunk = inputs[lo:lo + chunk_size]
-            pe_idx, l2_idx = engine.predict_indices(chunk)
+            pe_idx, l2_idx = route.engine.predict_indices(chunk)
             num_pes, l2_kb = route.problem.space.values(pe_idx, l2_idx)
             predictions = [
                 {"m": int(r[0]), "n": int(r[1]), "k": int(r[2]),

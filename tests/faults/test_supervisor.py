@@ -15,12 +15,9 @@ import signal
 import numpy as np
 import pytest
 
-from repro.core import BatchedDSEPredictor
 from repro.dse import ExhaustiveOracle, ShardedLabeller
 from repro.faults import (PoolBrokenError, PoolSupervisor, RetryPolicy,
                           inject_faults)
-from repro.obs import MetricsRegistry
-from repro.serving import ShardedSweepExecutor
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 fork_only = pytest.mark.skipif(not HAS_FORK, reason="needs fork start method")
@@ -77,96 +74,6 @@ class TestSupervisorUnit:
         assert sup.degraded
         assert excinfo.value.pending == [0, 1]
 
-    @fork_only
-    def test_retry_metrics_are_published(self):
-        metrics = MetricsRegistry()
-        sup = PoolSupervisor(
-            lambda: multiprocessing.get_context("fork").Pool(2),
-            shard_timeout_s=SHARD_TIMEOUT_S,
-            retry=RetryPolicy(max_rebuilds=0, backoff_base_s=0.0),
-            registry=metrics, labels={"component": "test"})
-        try:
-            with pytest.raises(PoolBrokenError):
-                sup.run(_boom_shard, [(0, 1)])
-        finally:
-            sup.close()
-        text = metrics.render()
-        assert 'repro_retry_total{component="test"} 1' in text
-        assert 'repro_pool_degraded_total{component="test"} 1' in text
-
-
-class TestSweepExecutorChaos:
-    @fork_only
-    def test_sigkilled_worker_recovers_bit_identically(self, tiny_model,
-                                                       problem, rng):
-        """The tentpole gate: a worker dies hard (os._exit) mid-sweep and
-        the sweep still completes with bit-identical predictions."""
-        inputs = problem.sample_inputs(300, rng)
-        expected = BatchedDSEPredictor(tiny_model).predict_indices(inputs)
-        with ShardedSweepExecutor(tiny_model, num_workers=2,
-                                  min_shard_size=32, mp_context="fork",
-                                  shard_timeout_s=SHARD_TIMEOUT_S,
-                                  retry=FAST_RETRY) as ex:
-            with inject_faults({"pool.worker_crash": 1}):
-                pe_idx, l2_idx = ex.predict_indices(inputs)
-            assert ex._supervisor.retries >= 1
-            assert not ex._supervisor.degraded
-        np.testing.assert_array_equal(pe_idx, expected[0])
-        np.testing.assert_array_equal(l2_idx, expected[1])
-
-    @fork_only
-    def test_hung_worker_times_out_and_recovers(self, tiny_model, problem,
-                                                rng):
-        inputs = problem.sample_inputs(300, rng)
-        expected = BatchedDSEPredictor(tiny_model).predict_indices(inputs)
-        with ShardedSweepExecutor(tiny_model, num_workers=2,
-                                  min_shard_size=32, mp_context="fork",
-                                  shard_timeout_s=3.0,
-                                  retry=FAST_RETRY) as ex:
-            with inject_faults({"pool.shard_hang":
-                                {"times": 1, "hang_s": 600.0}}):
-                pe_idx, l2_idx = ex.predict_indices(inputs)
-            assert ex._supervisor.retries >= 1
-        np.testing.assert_array_equal(pe_idx, expected[0])
-        np.testing.assert_array_equal(l2_idx, expected[1])
-
-    @fork_only
-    def test_externally_killed_workers_recover(self, tiny_model, problem,
-                                               rng):
-        """Kill real PIDs from outside (no injection hooks in the loop):
-        the supervisor's timeout + rebuild still completes the sweep."""
-        inputs = problem.sample_inputs(300, rng)
-        expected = BatchedDSEPredictor(tiny_model).predict_indices(inputs)
-        with ShardedSweepExecutor(tiny_model, num_workers=2,
-                                  min_shard_size=32, mp_context="fork",
-                                  shard_timeout_s=SHARD_TIMEOUT_S,
-                                  retry=FAST_RETRY) as ex:
-            ex.predict_indices(inputs)          # builds the pool
-            for pid in ex._supervisor.worker_pids():
-                os.kill(pid, signal.SIGKILL)
-            pe_idx, l2_idx = ex.predict_indices(inputs)
-        np.testing.assert_array_equal(pe_idx, expected[0])
-        np.testing.assert_array_equal(l2_idx, expected[1])
-
-    @fork_only
-    def test_close_is_safe_on_a_crashed_pool(self, tiny_model, problem,
-                                             rng):
-        """close() must be idempotent and exception-safe even when every
-        worker was already SIGKILLed out from under the pool."""
-        ex = ShardedSweepExecutor(tiny_model, num_workers=2,
-                                  min_shard_size=32, mp_context="fork",
-                                  shard_timeout_s=SHARD_TIMEOUT_S,
-                                  retry=FAST_RETRY)
-        ex.predict_indices(problem.sample_inputs(200, rng))
-        pids = ex._supervisor.worker_pids()
-        assert pids
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-        ex.close()
-        assert ex._pool is None
-        ex.close()                              # second close: no-op
-        ex.close()
-
 
 class TestLabellerChaos:
     @fork_only
@@ -182,6 +89,43 @@ class TestLabellerChaos:
             with inject_faults({"pool.worker_crash": 1}):
                 result = labeller.label(inputs)
             assert labeller._supervisor.retries >= 1
+        np.testing.assert_array_equal(result.pe_idx, expected.pe_idx)
+        np.testing.assert_array_equal(result.l2_idx, expected.l2_idx)
+        np.testing.assert_array_equal(result.best_cost, expected.best_cost)
+
+    @fork_only
+    def test_hung_worker_times_out_and_recovers(self, problem):
+        inputs = problem.sample_inputs(96, np.random.default_rng(5))
+        expected = ExhaustiveOracle(problem).solve(inputs)
+        oracle = ExhaustiveOracle(problem)
+        with ShardedLabeller(oracle, num_workers=2, min_shard_size=16,
+                             mp_context="fork", shard_timeout_s=3.0,
+                             retry=FAST_RETRY) as labeller:
+            with inject_faults({"pool.shard_hang":
+                                {"times": 1, "hang_s": 600.0}}):
+                result = labeller.label(inputs)
+            assert labeller._supervisor.retries >= 1
+            assert not labeller._supervisor.degraded
+        np.testing.assert_array_equal(result.pe_idx, expected.pe_idx)
+        np.testing.assert_array_equal(result.l2_idx, expected.l2_idx)
+        np.testing.assert_array_equal(result.best_cost, expected.best_cost)
+
+    @fork_only
+    def test_externally_killed_workers_recover(self, problem):
+        """Kill real PIDs from outside (no injection hooks in the loop):
+        the supervisor's timeout + rebuild still completes the labels."""
+        inputs = problem.sample_inputs(96, np.random.default_rng(6))
+        expected = ExhaustiveOracle(problem).solve(inputs)
+        with ShardedLabeller(ExhaustiveOracle(problem), num_workers=2,
+                             min_shard_size=16, mp_context="fork",
+                             shard_timeout_s=SHARD_TIMEOUT_S,
+                             retry=FAST_RETRY) as labeller:
+            labeller.label(inputs)              # builds the pool
+            pids = labeller._supervisor.worker_pids()
+            assert pids
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+            result = labeller.label(inputs)
         np.testing.assert_array_equal(result.pe_idx, expected.pe_idx)
         np.testing.assert_array_equal(result.l2_idx, expected.l2_idx)
         np.testing.assert_array_equal(result.best_cost, expected.best_cost)

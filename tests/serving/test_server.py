@@ -271,6 +271,40 @@ class TestErrorHandling:
         # request counters (it was rejected before admission).
         assert _get(server, "/healthz")[0] == 200
 
+    @pytest.mark.parametrize("value", ["false", 0, 1, None],
+                             ids=["string", "zero", "one", "null"])
+    @pytest.mark.parametrize("path,field", [
+        ("/predict", "with_cost"), ("/predict", "with_oracle"),
+        ("/sweep", "with_cost"),
+    ], ids=["predict-cost", "predict-oracle", "sweep-cost"])
+    def test_non_boolean_flags_400_before_admission(self, server, path,
+                                                    field, value):
+        """Only JSON true/false switch costing: ``"false"`` used to be
+        truthy and turn it on."""
+        body = {"workloads": [{"m": 8, "n": 8, "k": 8}], field: value}
+        status, doc = _post(server, path, body)
+        assert status == 400
+        assert repr(field) in doc["error"]
+        stats = server._route(None).stats.snapshot()
+        assert stats["latency"]["count"] == 0   # never admitted
+        assert stats["forward_passes"] == 0
+
+    def test_explicit_false_flags_serve_without_cost(self, server):
+        workloads = [{"m": 8, "n": 8, "k": 8}]
+        status, doc = _post(server, "/predict",
+                            {"workloads": workloads, "with_cost": False,
+                             "with_oracle": False})
+        assert status == 200
+        assert "predicted_cost" not in doc["predictions"][0]
+        req = urllib.request.Request(
+            server.url + "/sweep",
+            data=json.dumps({"workloads": workloads,
+                             "with_cost": False}).encode())
+        with urllib.request.urlopen(req, timeout=30) as resp:
+            lines = [json.loads(line) for line in resp.read().splitlines()]
+        assert lines[0]["with_cost"] is False
+        assert "predicted_cost" not in lines[1]["predictions"][0]
+
 
 class TestMultiModelRouting:
     @pytest.fixture
