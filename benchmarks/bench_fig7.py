@@ -29,7 +29,7 @@ def test_fig7_deployment_latency(benchmark, scale, workspace):
         for model, entry in out["normalized_per_layer"].items()}
 
     # Folded (Method 1): v2 never loses badly on any model — Method-1
-    # folding is robust for every technique (see EXPERIMENTS.md note).
+    # folding is robust for every technique (see repro.experiments.fig7).
     for model, entry in out["normalized"].items():
         for method in ("airchitect_v1", "gandse", "vaesa_bo"):
             assert entry[method] >= 0.93, (model, method)

@@ -1,15 +1,17 @@
-"""Stage-2 train-step throughput: fused eager vs the frozen op-by-op
+"""Stage-2 train-step throughput: the fused path vs the frozen op-by-op
 reference, plus the train-phase profiling overhead gate.
 
 The acceptance gate of the fused compute path: a full stage-2 decoder
 fit (default ``ModelConfig``/``Stage2Config``, batch 256, 20 epochs)
 through the fused kernels, flat-arena optimisers, frozen-encoder
 embedding cache and zero-copy DataLoader must be >= 2x faster than the
-frozen unfused reference — the op-by-op autograd path kept intact behind
-``repro.nn.fused_kernels(False)`` — while its loss history agrees with
-the reference's within ``rtol=1e-12`` (the numeric contract of
-:mod:`repro.nn.fused`: same forward bits, gradients that may reassociate
-sums).
+frozen unfused reference — the op-by-op autograd path that the test
+oracle ``tests/nn/reference.py`` swaps in with ``reference_path()`` —
+while its loss history agrees with the reference's within
+``rtol=1e-12`` (the numeric contract of :mod:`repro.nn.fused`: same
+forward bits, gradients that may reassociate sums).  The script puts
+the repository root on ``sys.path`` itself, so the oracle imports both
+standalone and under pytest.
 
 The telemetry layer adds a second gate: the same fused fit with a
 :class:`~repro.train.ProfilerCallback` attached (per-phase wall-time
@@ -42,6 +44,7 @@ regressions sneaking into releases.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import platform
@@ -53,9 +56,13 @@ import time
 import numpy as np
 import pytest
 
-from repro import nn
 from repro.core import AirchitectV2, ModelConfig, Stage2Config, Stage2Trainer
 from repro.dse import DSEProblem, generate_random_dataset
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+if ROOT not in sys.path:
+    sys.path.insert(0, ROOT)
+from tests.nn.reference import reference_path  # noqa: E402
 
 SPEEDUP_TARGET = 2.0
 # Fused vs reference loss histories: the kernels' gradient tolerance.
@@ -65,14 +72,13 @@ SAMPLES_DEFAULT = 2048
 EPOCHS_DEFAULT = 20
 ROUNDS_DEFAULT = 3
 
-# fused_kernels setting per benched execution mode.
+# Per benched mode: does the fit run the fused path (or the oracle)?
 MODES = {"reference": False, "fused": True}
 
 
 def _git(*args: str) -> str | None:
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     try:
-        out = subprocess.run(["git", *args], cwd=root, capture_output=True,
+        out = subprocess.run(["git", *args], cwd=ROOT, capture_output=True,
                              text=True, timeout=10)
     except (OSError, subprocess.SubprocessError):
         return None
@@ -103,7 +109,7 @@ def _fit(problem, dataset, model_config, stage2_config,
     """
     from repro.train import ProfilerCallback, ThroughputMonitor
 
-    with nn.fused_kernels(fused):
+    with contextlib.nullcontext() if fused else reference_path():
         model = AirchitectV2(model_config, problem, np.random.default_rng(0))
         trainer = Stage2Trainer(model, stage2_config)
         monitor = ThroughputMonitor()

@@ -7,8 +7,8 @@ benchmark that needs a model trains it, later ones load it.  Run with
 
     pytest benchmarks/ --benchmark-only -s
 
-(-s shows the regenerated tables).  Results recorded in EXPERIMENTS.md
-come from the 'small' scale.
+(-s shows the regenerated tables).  The paper-fidelity record (ROADMAP
+open item 1) is taken at the 'small' scale.
 """
 
 from __future__ import annotations

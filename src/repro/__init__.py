@@ -21,7 +21,8 @@ Quickstart::
     Stage2Trainer(model).train(data)
     pe_idx, l2_idx = model.predict_indices(data.inputs[:8])
 
-See README.md and DESIGN.md for the architecture and experiment index.
+See README.md for the architecture; ``python -m repro --help`` lists the
+experiment runners.
 """
 
 __version__ = "1.0.0"

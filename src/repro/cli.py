@@ -366,8 +366,6 @@ def train_main(argv: list[str] | None = None) -> int:
               "to resume", file=sys.stderr)
         return 130
     train_elapsed = time.perf_counter() - start
-    from . import nn
-    backend = "fused" if nn.fused_enabled() else "eager"
 
     from .core import AirchitectV2, evaluate_model, evaluate_predictions
     if isinstance(model, AirchitectV2):
@@ -399,7 +397,6 @@ def train_main(argv: list[str] | None = None) -> int:
                    "samples_per_sec": throughput.mean_samples_per_sec,
                    "mean_epoch_ms": mean_epoch_ms,
                },
-               "execution": {"backend": backend},
                "accuracy": metrics.accuracy if metrics else None,
                "pe_accuracy": metrics.pe_accuracy if metrics else None,
                "l2_accuracy": metrics.l2_accuracy if metrics else None}
@@ -434,8 +431,6 @@ def train_main(argv: list[str] | None = None) -> int:
             print(f"throughput: {throughput.mean_samples_per_sec:.0f} "
                   f"samples/sec over {len(throughput.epochs)} epoch(s) "
                   f"({throughput.total_seconds:.1f}s in the train loop)")
-        if throughput.epochs:
-            print(f"execution: {backend} backend")
         if profiler_cb is not None:
             profile = profiler_cb.snapshot()
             shares = ", ".join(

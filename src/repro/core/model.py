@@ -49,8 +49,8 @@ class ModelConfig:
     """Hyper-parameters of the AIRCHITECT v2 model.
 
     Defaults are the reproduction's scaled-down shape (the paper trains a
-    GPU-scale model; orderings between techniques are preserved — see
-    DESIGN.md §2).
+    GPU-scale model; ROADMAP open item 1 gates the orderings between
+    techniques and records the gap to the paper's numbers).
     """
 
     d_model: int = 32

@@ -12,11 +12,12 @@ configurations.  The loss depends on the head style:
 Epoch/batch driving is the unified :class:`repro.train.TrainLoop`; the
 freeze/unfreeze protocol lives in the task's fit hooks.
 
-Because the encoder is frozen for the entire fit, the fused fast path
-(:func:`repro.nn.fused_enabled`) precomputes every sample's embedding
-once (lazily, after any checkpoint resume) and fancy-indexes it per
-batch — bit-identical to re-running the encoder every step, and the
-single biggest win in ``benchmarks/bench_train_step.py``.
+Because the encoder is frozen for the entire fit, the task precomputes
+every sample's embedding once (lazily, after any checkpoint resume) and
+fancy-indexes it per batch — bit-identical to re-running the encoder
+every step, and the single biggest win in
+``benchmarks/bench_train_step.py``.  Active encoder dropout disables the
+cache: each step then runs the encoder on its batch.
 """
 
 from __future__ import annotations
@@ -80,8 +81,8 @@ class _Stage2Task(TrainTask):
     def loader(self, rng: np.random.Generator) -> nn.DataLoader:
         cfg = self.trainer.config
         pe_t, l2_t = self.trainer._targets(self.dataset)
-        # Row indices ride along so the fast path can slice the embedding
-        # cache; the extra array does not touch the rng stream.
+        # Row indices ride along so a batch can slice the embedding cache;
+        # the extra array does not touch the rng stream.
         data = nn.ArrayDataset(self.dataset.inputs, pe_t, l2_t,
                                np.arange(len(self.dataset)))
         return nn.DataLoader(data, cfg.batch_size, shuffle=True, rng=rng)
@@ -118,7 +119,7 @@ class _Stage2Task(TrainTask):
 
     def batch_step(self, batch, step, rng) -> dict[str, float]:
         xb, pb, lb, idx = batch
-        if nn.fused_enabled() and self._embed_cacheable:
+        if self._embed_cacheable:
             embedding = self._embeddings(idx)
         else:
             embedding = self.model.embed(xb)

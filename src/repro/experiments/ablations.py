@@ -9,7 +9,7 @@ Three studies the paper's design choices imply but do not plot:
   (§III-A fixes latency as the reward); re-labelling with energy / EDP
   shifts the optimal-design distribution toward smaller configurations.
 * :func:`run_tolerance_ablation` — the oracle's epsilon-cheapest rule (see
-  DESIGN.md §5): label stability and resource savings as the tolerance
+  :mod:`repro.dse.oracle`): label stability and resource savings as the tolerance
   grows.
 """
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .. import nn
 from ..baselines import (GANDSE, GANDSEConfig, AirchitectV1, V1Config, VAESA,
                          VAESAConfig, train_gandse, train_v1, train_vaesa)
 from ..core import (AirchitectV2, Stage1Config, Stage1Trainer, Stage2Config,
@@ -77,10 +76,7 @@ def _cached_model(workspace: Workspace, scale: ExperimentScale, tag: str,
                   build, train):
     """Generic build-or-load through the workspace's model registry:
     ``build()`` makes the module, ``train(model, checkpoint)`` fits it
-    (only when no artifact exists).  ``train`` may return a dict of extra
-    fingerprint fields (e.g. which execution backend ran the fit); the
-    fused and composed paths agree within ``rtol=1e-12``, so this is
-    provenance, not identity.
+    (only when no artifact exists).
 
     The fitted model is registered as a manifested artifact (kind,
     config, scale + seed fingerprint), so ``repro serve --registry``
@@ -100,10 +96,10 @@ def _cached_model(workspace: Workspace, scale: ExperimentScale, tag: str,
         model.eval()
         return model
     checkpoint = workspace.checkpoint_key(scale, tag)
-    extra = train(model, checkpoint)
+    train(model, checkpoint)
     registry.save(model, model_id, scale=scale.name,
                   fingerprint={"scale": scale.name, "seed": int(scale.seed),
-                               "tag": tag, **(extra or {})})
+                               "tag": tag})
     for stale in checkpoint.parent.glob(checkpoint.name + "*"):
         stale.unlink()
     return model
@@ -118,9 +114,7 @@ def get_v2(scale, train_set: DSEDataset, workspace: Workspace | None = None,
 
     ``callbacks`` (e.g. a :class:`repro.train.ThroughputMonitor`) are
     attached to both stage fits; they only fire when the model is actually
-    trained, not when it loads from the workspace cache.  The registry
-    manifest records which execution backend (eager / fused) trained the
-    artifact.
+    trained, not when it loads from the workspace cache.
     """
     scale = get_scale(scale)
     workspace = workspace or Workspace()
@@ -134,7 +128,7 @@ def get_v2(scale, train_set: DSEDataset, workspace: Workspace | None = None,
                                     num_buckets=num_buckets)
         return AirchitectV2(config, problem, rng)
 
-    def fit(model: AirchitectV2, checkpoint) -> dict:
+    def fit(model: AirchitectV2, checkpoint) -> None:
         s1, s2 = stage_configs(scale, use_contrastive, use_perf)
         Stage1Trainer(model, s1).train(
             train_set, callbacks=callbacks,
@@ -142,7 +136,6 @@ def get_v2(scale, train_set: DSEDataset, workspace: Workspace | None = None,
         Stage2Trainer(model, s2).train(
             train_set, callbacks=callbacks,
             checkpoint_path=f"{checkpoint}_stage2.npz")
-        return {"backend": "fused" if nn.fused_enabled() else "eager"}
 
     return _cached_model(workspace, scale, tag, build, fit)
 

@@ -4,8 +4,8 @@ Every table/figure runner takes an :class:`ExperimentScale`, which fixes
 dataset size, training epochs and model width.  Three presets:
 
 * ``tiny``  — seconds; used by the test suite to exercise every code path.
-* ``small`` — minutes; the default for ``benchmarks/`` (results recorded in
-  EXPERIMENTS.md come from this scale).
+* ``small`` — minutes; the default for ``benchmarks/`` and the scale of
+  the paper-fidelity record (ROADMAP open item 1).
 * ``full``  — the paper-faithful 80K/20K split and long training; hours on
   CPU, provided for completeness.
 

@@ -3,7 +3,6 @@
 Re-derives (for GEMM) the data-reuse/traffic analysis that MAESTRO [19]
 performs for the three canonical dataflows of Table I, producing latency,
 energy and utilisation estimates for any (PEs, L2 buffer) design point.
-See DESIGN.md for the substitution rationale.
 """
 
 from .accelerator import AcceleratorConfig, Technology

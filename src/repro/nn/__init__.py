@@ -3,7 +3,7 @@
 Implements everything the AIRCHITECT v2 reproduction needs from a DL
 framework: an autograd :class:`Tensor`, transformer layers, losses
 (including the paper's InfoNCE and Unification losses), optimisers and data
-pipelines.  See DESIGN.md §2 for why this substitutes for PyTorch.
+pipelines, so the reproduction needs numpy and no DL framework.
 
 Importing the package pins glibc's malloc policy for the whole process
 (:func:`_retain_freed_heap`), so training steps and inference tiles
@@ -20,7 +20,6 @@ import threading
 from . import functional, fused, init
 from .attention import (DownsampleUnit, FeedForward, MultiHeadSelfAttention,
                         TransformerBlock, TransformerStack, UpsampleUnit)
-from .fused import fused_enabled, fused_kernels
 from .data import ArrayDataset, DataLoader, train_test_split
 from .layers import (Dropout, Embedding, GELU, Identity, LayerNorm, Linear,
                      ReLU, Sigmoid, Tanh)
@@ -35,7 +34,7 @@ from .tensor import Tensor, as_tensor, concat, no_grad, stack, where
 
 __all__ = [
     "Tensor", "as_tensor", "concat", "stack", "where", "no_grad",
-    "functional", "fused", "fused_enabled", "fused_kernels", "init",
+    "functional", "fused", "init",
     "Module", "ModuleList", "Parameter", "Sequential",
     "Linear", "LayerNorm", "Embedding", "Dropout",
     "ReLU", "GELU", "Tanh", "Sigmoid", "Identity",

@@ -48,37 +48,20 @@ class MultiHeadSelfAttention(Module):
         self.out_proj = Linear(dim, dim, rng)
         self.attn_dropout = Dropout(dropout, rng)
 
-    def _split_heads(self, x: Tensor, batch: int, seq: int) -> Tensor:
+    def _split_heads(self, x: Tensor) -> Tensor:
         # (batch, seq, dim) -> (batch, heads, seq, head_dim)
-        if fused.fused_enabled():
-            return fused.split_heads(x, self.num_heads, self.head_dim)
-        return x.reshape(batch, seq, self.num_heads, self.head_dim).swapaxes(1, 2)
+        return fused.split_heads(x, self.num_heads, self.head_dim)
 
     def forward(self, x: Tensor) -> Tensor:
-        batch, seq, _ = x.shape
-        q = self._split_heads(self.q_proj(x), batch, seq)
-        k = self._split_heads(self.k_proj(x), batch, seq)
-        v = self._split_heads(self.v_proj(x), batch, seq)
+        q = self._split_heads(self.q_proj(x))
+        k = self._split_heads(self.k_proj(x))
+        v = self._split_heads(self.v_proj(x))
 
-        k_t = k.swapaxes(-1, -2)
         scale = 1.0 / math.sqrt(self.head_dim)
-        if fused.fused_enabled():
-            scores = fused.scaled_matmul(q, k_t, scale)
-        else:
-            scores = (q @ k_t) * scale
-        attn = F.softmax(scores, axis=-1)
-        attn = self.attn_dropout(attn)
-        if fused.fused_enabled():
-            context = fused.matmul(attn, v)  # (batch, heads, seq, head_dim)
-        else:
-            context = attn @ v
-
-
-        if fused.fused_enabled():
-            merged = fused.merge_heads(context)
-        else:
-            merged = context.swapaxes(1, 2).reshape(batch, seq, self.dim)
-        return self.out_proj(merged)
+        scores = fused.scaled_matmul(q, k.swapaxes(-1, -2), scale)
+        attn = self.attn_dropout(F.softmax(scores, axis=-1))
+        context = fused.matmul(attn, v)  # (batch, heads, seq, head_dim)
+        return self.out_proj(fused.merge_heads(context))
 
 
 class FeedForward(Module):

@@ -4,16 +4,15 @@ Keeps the familiar iteration protocol (``for xb, yb in loader``) while
 staying purely numpy: a :class:`ArrayDataset` is a tuple of aligned arrays,
 and :class:`DataLoader` yields batches of those arrays (not Tensors — the
 training loop decides what becomes a Tensor, since e.g. integer labels stay
-numpy).
+numpy).  Batches are zero-copy, read-only views: the epoch's shuffle is
+applied once per array and each batch slices the gathered arrays.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
-
-from . import fused
 
 __all__ = ["ArrayDataset", "DataLoader", "train_test_split"]
 
@@ -57,20 +56,18 @@ class DataLoader:
     drop_last:
         Drop the final short batch (useful for contrastive batches, which
         need enough samples to find positives).
-    fast:
-        Use the zero-copy batch path: the per-epoch shuffle permutation is
-        applied once per array (one gather per epoch), then batches are
-        contiguous *views* of the gathered arrays instead of per-batch
-        fancy-index copies.  Batch values and rng consumption are identical
-        to the slow path (``arr[order][a:b] == arr[order[a:b]]``); views
-        are marked read-only, so a consumer that mutated its batches fails
-        loudly instead of silently corrupting neighbours.  ``None``
-        (default) follows the global fused-fast-path switch.
+
+    The per-epoch shuffle permutation is applied once per array (one
+    gather per epoch); batches are then contiguous *views* of the
+    gathered arrays, with the same values and rng consumption as
+    per-batch fancy-index copies (``arr[order][a:b] == arr[order[a:b]]``).
+    Views are marked read-only, so a consumer that mutates its batches
+    fails loudly instead of silently corrupting neighbours.
     """
 
     def __init__(self, dataset: ArrayDataset, batch_size: int,
                  shuffle: bool = False, rng: np.random.Generator | None = None,
-                 drop_last: bool = False, fast: bool | None = None):
+                 drop_last: bool = False):
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
         if shuffle and rng is None:
@@ -80,7 +77,6 @@ class DataLoader:
         self.shuffle = shuffle
         self.rng = rng
         self.drop_last = drop_last
-        self.fast = fast
 
     def __len__(self) -> int:
         n = len(self.dataset)
@@ -90,15 +86,10 @@ class DataLoader:
 
     def __iter__(self) -> Iterator[tuple[np.ndarray, ...]]:
         n = len(self.dataset)
-        fast = self.fast if self.fast is not None else fused.fused_enabled()
         order = np.arange(n)
         if self.shuffle:
             self.rng.shuffle(order)
         stop = (n // self.batch_size) * self.batch_size if self.drop_last else n
-        if not fast:
-            for start in range(0, stop, self.batch_size):
-                yield self.dataset[order[start:start + self.batch_size]]
-            return
         if self.shuffle:
             arrays = tuple(arr[order] for arr in self.dataset.arrays)
         else:

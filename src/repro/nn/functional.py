@@ -1,23 +1,18 @@
 """Autograd-aware functional operations built on :class:`repro.nn.Tensor`.
 
-These are compositions of `Tensor` primitives, so they need no bespoke
-backward passes; numerical stability tricks (max-subtraction in softmax,
-clamping in log) are applied where standard.
-
-The hot functions (softmax, log_softmax, gelu, normalize) dispatch to the
-single-node kernels in :mod:`repro.nn.fused` by default — bit-identical to
-the compositions kept here as the reference path (and still used under
-``fused.fused_kernels(False)``).
+The hot functions (softmax, log_softmax, gelu, normalize) are the
+single-node kernels in :mod:`repro.nn.fused`.  The rest are compositions
+of `Tensor` primitives, so they need no bespoke backward passes;
+numerical stability tricks (max-subtraction, clamping in log) are
+applied where standard.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import fused
-from .tensor import Tensor, as_tensor
+from .tensor import Tensor
 
 __all__ = [
     "softmax",
@@ -37,19 +32,12 @@ _LOG_EPS = 1e-12
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically-stable softmax along ``axis``."""
-    if fused.fused_enabled():
-        return fused.softmax(x, axis=axis)
-    shifted = x - x.max(axis=axis, keepdims=True).detach()
-    exps = shifted.exp()
-    return exps / exps.sum(axis=axis, keepdims=True)
+    return fused.softmax(x, axis=axis)
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically-stable log-softmax along ``axis``."""
-    if fused.fused_enabled():
-        return fused.log_softmax(x, axis=axis)
-    shifted = x - x.max(axis=axis, keepdims=True).detach()
-    return shifted - logsumexp(shifted, axis=axis, keepdims=True)
+    return fused.log_softmax(x, axis=axis)
 
 
 def logsumexp(x: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:
@@ -63,11 +51,7 @@ def logsumexp(x: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:
 
 def gelu(x: Tensor) -> Tensor:
     """Gaussian error linear unit (tanh approximation, as used in BERT/GPT)."""
-    if fused.fused_enabled():
-        return fused.gelu(x)
-    c = math.sqrt(2.0 / math.pi)
-    inner = (x + x * x * x * 0.044715) * c
-    return x * (inner.tanh() + 1.0) * 0.5
+    return fused.gelu(x)
 
 
 def silu(x: Tensor) -> Tensor:
@@ -82,10 +66,7 @@ def leaky_relu(x: Tensor, negative_slope: float = 0.01) -> Tensor:
 
 def normalize(x: Tensor, axis: int = -1, eps: float = 1e-8) -> Tensor:
     """L2-normalise along ``axis`` (used for contrastive embeddings)."""
-    if fused.fused_enabled():
-        return fused.normalize(x, axis=axis, eps=eps)
-    norm = (x * x).sum(axis=axis, keepdims=True).sqrt()
-    return x / (norm + eps)
+    return fused.normalize(x, axis=axis, eps=eps)
 
 
 def one_hot(indices: np.ndarray, num_classes: int) -> np.ndarray:

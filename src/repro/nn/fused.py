@@ -1,8 +1,9 @@
 """Fused forward/backward kernels for the ``repro.nn`` training hot path.
 
-Every kernel here collapses a chain of 4-10 autograd nodes — the op-by-op
-compositions in :mod:`repro.nn.tensor` / :mod:`repro.nn.functional` /
-:mod:`repro.nn.losses` — into ONE graph node with a hand-written backward.
+Every kernel here collapses a chain of 4-10 autograd nodes — an op-by-op
+composition of :class:`Tensor` primitives — into ONE graph node with a
+hand-written backward.  These kernels are the only implementation of
+their ops: layers, functionals and losses call them unconditionally.
 The payoff is Python overhead, not FLOPs: each composed op allocates a
 result ``Tensor``, a backward closure and graph bookkeeping, and the
 training models are small enough that this per-op overhead dominates the
@@ -13,26 +14,28 @@ Numeric contract
 Training runs on a three-part contract (asserted in
 ``tests/nn/test_fused.py`` and ``tests/nn/test_autograd.py``):
 
-* **Same path, same bits.**  A given execution path (fused or composed)
-  gives identical bits run to run: every kernel is a fixed sequence of
-  numpy calls, and :meth:`Tensor.backward`'s DFS fixes the arrival order
-  of gradient contributions into shared operands.
-* **Fast kernels match the composed reference within ``rtol=1e-12``.**
-  Forward outputs stay bitwise equal to the compositions they replace,
-  so inference bits do not depend on the switch.  Backward passes may
-  reassociate sums where that is much faster: :func:`linear` computes
-  its weight, input and bias gradients as 2-D GEMMs and one reduction
-  over the collapsed leading dims instead of a batched product summed
-  over the batch.  The hot kernels' gradients (linear, layer norm,
-  GELU) are also checked against central finite differences.
+* **Same path, same bits.**  The fused path gives identical bits run to
+  run: every kernel is a fixed sequence of numpy calls, and
+  :meth:`Tensor.backward`'s DFS fixes the arrival order of gradient
+  contributions into shared operands.
+* **Kernels match the composed reference within ``rtol=1e-12``.**
+  The reference is the op-by-op composition of :class:`Tensor`
+  primitives each kernel replaces; it lives in the test suite
+  (``tests/nn/reference.py``), which swaps it in for this module's
+  attributes.  Forward outputs stay bitwise equal to the compositions.
+  Backward passes may reassociate sums where that is much faster:
+  :func:`linear` computes its weight, input and bias gradients as 2-D
+  GEMMs and one reduction over the collapsed leading dims instead of a
+  batched product summed over the batch.  The hot kernels' gradients
+  (linear, layer norm, GELU) are also checked against central finite
+  differences.
 * **Accuracy parity.**  The reassociation moves gradients by about
   1e-15 relative; a trained model's accuracy and regret match the
-  composed path's.
+  composed reference's.
 
-The module-level switch (:func:`fused_enabled` / :func:`fused_kernels`)
-drops the whole stack — kernels, flat-arena optimisers, DataLoader fast
-path — back to the op-by-op reference implementation;
-``benchmarks/bench_train_step.py`` uses that as its frozen baseline.
+Callers look kernels up at call time (``fused.linear(...)``, never
+``from .fused import linear``), so the test oracle and the benchmark's
+tracing wrappers can replace them on this module.
 """
 
 from __future__ import annotations
@@ -41,34 +44,12 @@ import math
 
 import numpy as np
 
-from .switches import Switch
 from .tensor import Tensor, _unbroadcast, records
 
-__all__ = ["fused_enabled", "fused_kernels", "linear", "gelu", "layer_norm",
-           "softmax", "log_softmax", "normalize", "matmul", "scaled_matmul",
-           "bce_with_logits", "l1_mean", "mse_mean", "nll_mean",
-           "unification_loss", "split_heads", "merge_heads"]
-
-
-_FUSED = Switch(True, name="fused_kernels")
-
-
-def fused_enabled() -> bool:
-    """Whether the fused fast path (kernels, arenas, loader) is active."""
-    return _FUSED.enabled
-
-
-def fused_kernels(enabled: bool = True):
-    """Enable/disable the fused fast path within a scope.
-
-    Returns an exception-safe context manager: ``with fused_kernels(False):``
-    runs the frozen op-by-op reference implementation (same forward bits,
-    gradients within ``rtol=1e-12``, more Python) — the baseline the
-    training benchmark measures against — and
-    the override is popped even if the body raises, so a failing test can
-    never leak a disabled fast path into the rest of the process.
-    """
-    return _FUSED(enabled)
+__all__ = ["linear", "gelu", "layer_norm", "softmax", "log_softmax",
+           "normalize", "matmul", "scaled_matmul", "bce_with_logits",
+           "l1_mean", "mse_mean", "nll_mean", "unification_loss",
+           "split_heads", "merge_heads"]
 
 
 def _row_invariant_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -295,8 +276,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def scaled_matmul(a: Tensor, b: Tensor, scale: float) -> Tensor:
     """``(a @ b) * scale`` as one node (attention score kernel).
 
-    Both operands must be ndim >= 2 (the composed matmul's 1-D special
-    cases are not replicated here — the dispatcher falls back for those).
+    Both operands must be ndim >= 2, as attention's are (the composed
+    matmul's 1-D special cases are not replicated here).
     """
     ad, bd = a.data, b.data
     out = ad @ bd

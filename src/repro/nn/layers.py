@@ -12,7 +12,7 @@ from . import functional as F
 from . import fused
 from . import init
 from .module import Module, Parameter
-from .tensor import Tensor
+from .tensor import Tensor, as_tensor
 
 __all__ = ["Linear", "LayerNorm", "Embedding", "Dropout", "ReLU", "GELU", "Tanh", "Sigmoid", "Identity"]
 
@@ -29,12 +29,7 @@ class Linear(Module):
         self.bias = Parameter(init.zeros((out_features,))) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
-        if fused.fused_enabled() and isinstance(x, Tensor) and x.data.ndim >= 2:
-            return fused.linear(x, self.weight, self.bias)
-        out = x @ self.weight
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return fused.linear(as_tensor(x), self.weight, self.bias)
 
     def __repr__(self) -> str:
         return f"Linear({self.in_features}, {self.out_features}, bias={self.bias is not None})"
@@ -51,13 +46,7 @@ class LayerNorm(Module):
         self.beta = Parameter(np.zeros(dim))
 
     def forward(self, x: Tensor) -> Tensor:
-        if fused.fused_enabled() and isinstance(x, Tensor):
-            return fused.layer_norm(x, self.gamma, self.beta, self.eps)
-        mean = x.mean(axis=-1, keepdims=True)
-        centred = x - mean
-        var = (centred * centred).mean(axis=-1, keepdims=True)
-        normed = centred / (var + self.eps).sqrt()
-        return normed * self.gamma + self.beta
+        return fused.layer_norm(as_tensor(x), self.gamma, self.beta, self.eps)
 
 
 class Embedding(Module):

@@ -32,19 +32,12 @@ __all__ = [
 
 def mse_loss(pred: Tensor, target) -> Tensor:
     """Mean squared error."""
-    target = as_tensor(target)
-    if fused.fused_enabled() and isinstance(pred, Tensor):
-        return fused.mse_mean(pred, target.data)
-    diff = pred - target.detach()
-    return (diff * diff).mean()
+    return fused.mse_mean(as_tensor(pred), as_tensor(target).data)
 
 
 def l1_loss(pred: Tensor, target) -> Tensor:
     """Mean absolute error — the paper's performance-prediction loss L_perf."""
-    target = as_tensor(target)
-    if fused.fused_enabled() and isinstance(pred, Tensor):
-        return fused.l1_mean(pred, target.data)
-    return (pred - target.detach()).abs().mean()
+    return fused.l1_mean(as_tensor(pred), as_tensor(target).data)
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
@@ -52,14 +45,7 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     targets = np.asarray(targets, dtype=np.int64)
     log_probs = F.log_softmax(logits, axis=-1)
     onehot = F.one_hot(targets, logits.shape[-1])
-    if fused.fused_enabled():
-        return fused.nll_mean(log_probs, onehot)
-    return -(log_probs * Tensor(onehot)).sum(axis=-1).mean()
-
-
-def _softplus(x: Tensor) -> Tensor:
-    """Numerically-stable log(1 + exp(x)) = relu(x) + log(1 + exp(-|x|))."""
-    return x.relu() + ((-x.abs()).exp() + 1.0).log()
+    return fused.nll_mean(log_probs, onehot)
 
 
 def binary_cross_entropy_with_logits(logits: Tensor, targets) -> Tensor:
@@ -68,10 +54,7 @@ def binary_cross_entropy_with_logits(logits: Tensor, targets) -> Tensor:
     Returns the *elementwise* loss tensor (caller reduces), because the
     unification loss needs per-element weighting before reduction.
     """
-    targets = as_tensor(targets).detach()
-    if fused.fused_enabled() and isinstance(logits, Tensor):
-        return fused.bce_with_logits(logits, targets.data)
-    return _softplus(logits) - logits * targets
+    return fused.bce_with_logits(as_tensor(logits), as_tensor(targets).data)
 
 
 class InfoNCELoss(Module):
@@ -151,21 +134,14 @@ class UnificationLoss(Module):
         self.gamma = gamma
 
     def forward(self, logits: Tensor, target_uov) -> Tensor:
+        logits = as_tensor(logits)
         q = as_tensor(target_uov).detach()
-        if fused.fused_enabled() and self.gamma == 1.0 \
-                and isinstance(logits, Tensor):
+        if self.gamma == 1.0:
             return fused.unification_loss(logits, q.data, self.alpha)
         u = logits.sigmoid()
         bce = binary_cross_entropy_with_logits(logits, q)
-
-        gap = (q - u).abs()
-        if self.gamma != 1.0:
-            pos_weight = gap ** self.gamma
-            neg_weight = u ** self.gamma
-        else:
-            pos_weight = gap
-            neg_weight = u
-
+        pos_weight = (q - u).abs() ** self.gamma
+        neg_weight = u ** self.gamma
         positive = q.data > 0
         weighted = where(positive,
                          pos_weight * self.alpha * bce,

@@ -6,9 +6,9 @@ objects (callable epoch -> lr multiplier) attached via :class:`LRScheduler`.
 
 Flat arenas
 -----------
-By default every optimiser packs its parameters into one contiguous
-float64 buffer (and registers a matching contiguous *gradient* buffer on
-each parameter, which ``Tensor._accumulate`` fills in place).  ``step``,
+Every optimiser packs its parameters into one contiguous float64 buffer
+(and registers a matching contiguous *gradient* buffer on each
+parameter, which ``Tensor._accumulate`` fills in place).  ``step``,
 ``zero_grad`` and gradient clipping then run as a handful of whole-arena
 vectorised ops instead of a Python loop over dozens of small arrays.  The
 arena update applies the *same elementwise expressions* as the per-
@@ -19,9 +19,8 @@ back to the per-parameter loop with the exact legacy semantics (skipped
 moments for gradient-less parameters included).  The checkpoint format is
 unchanged: ``state_dict`` still returns per-parameter arrays, and
 snapshots written by the pre-arena optimisers load bit-identically.
-
-``fused.fused_kernels(False)`` disables arena construction entirely, which
-is the frozen reference path used by ``benchmarks/bench_train_step.py``.
+The per-parameter loop is also the whole update when no arena can be
+built (no parameters, non-float64 data, duplicates).
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ import math
 
 import numpy as np
 
-from . import fused
 from .module import Parameter
 
 __all__ = ["Optimizer", "SGD", "Adam", "AdamW", "LRScheduler",
@@ -98,11 +96,10 @@ class _FlatArena:
     def build(parameters: list[Parameter]) -> "_FlatArena | None":
         """An arena for ``parameters``, or None when ineligible.
 
-        Requires the fused fast path to be enabled, at least one
-        parameter, all-float64 data, and no duplicate parameters (views
-        would overlap).
+        Requires at least one parameter, all-float64 data, and no
+        duplicate parameters (views would overlap).
         """
-        if not fused.fused_enabled() or not parameters:
+        if not parameters:
             return None
         if any(p.data.dtype != np.float64 for p in parameters):
             return None

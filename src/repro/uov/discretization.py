@@ -61,7 +61,7 @@ class SpaceIncreasingDiscretization:
         ``u = n + (v - r_n) / w_n`` where ``n`` is the containing bucket.
         Within-bucket position is linear regardless of the physical bucket
         width, which keeps the ordinal encoding's ``1 - exp(-.)`` term
-        well-resolved (see DESIGN.md §5).
+        well-resolved.
         """
         values = np.clip(np.asarray(values, dtype=np.float64), 0.0, np.nextafter(self.extent, 0))
         n = self.bucket_of(values)

@@ -7,22 +7,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import nn
 from repro.dse import DSEProblem, ExhaustiveOracle, generate_random_dataset
 from repro.experiments import Workspace
-
-
-@pytest.fixture(autouse=True)
-def _restore_execution_switches():
-    """Guarantee the fused toggle never leaks across tests.
-
-    The switch is an exception-safe context manager already; this
-    backstop also covers tests that flip it mid-assert and fail, or
-    call the module-level setter directly.
-    """
-    fused = nn.fused._FUSED.snapshot()
-    yield
-    nn.fused._FUSED.restore(fused)
 
 
 @pytest.fixture

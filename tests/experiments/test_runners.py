@@ -1,9 +1,10 @@
 """Tiny-scale smoke + structure tests of every table/figure runner.
 
 These validate the *structure* each experiment must produce (keys, shapes,
-invariants that hold at any scale).  Quantitative orderings are asserted at
-the 'small' benchmark scale in EXPERIMENTS.md, not here — tiny-scale
-training is too noisy for strict ordering assertions.
+invariants that hold at any scale).  Quantitative orderings are asserted by
+the ``benchmarks/bench_*.py`` runs at the 'small' scale (ROADMAP open
+item 1), not here — tiny-scale training is too noisy for strict ordering
+assertions.
 """
 
 from __future__ import annotations

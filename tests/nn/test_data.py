@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 
 from repro import nn
+
+from .reference import reference_path
 
 
 class TestArrayDataset:
@@ -74,8 +78,14 @@ class TestDataLoader:
             nn.DataLoader(nn.ArrayDataset(np.arange(4)), 0)
 
 
+def _path(fast):
+    """The loader's own zero-copy path, or the reference's copies."""
+    return contextlib.nullcontext() if fast else reference_path()
+
+
 class TestDataLoaderFastPath:
-    """The zero-copy batch path: identical batches, loud on mutation."""
+    """The zero-copy batch path: the reference's batches, loud on
+    mutation."""
 
     def _batches(self, fast, seed=123, n=37, bs=8, shuffle=True,
                  drop_last=False):
@@ -83,8 +93,9 @@ class TestDataLoaderFastPath:
                              np.arange(n) * 2.0)
         loader = nn.DataLoader(ds, bs, shuffle=shuffle,
                                rng=np.random.default_rng(seed),
-                               drop_last=drop_last, fast=fast)
-        return [tuple(np.array(a, copy=True) for a in b) for b in loader]
+                               drop_last=drop_last)
+        with _path(fast):
+            return [tuple(np.array(a, copy=True) for a in b) for b in loader]
 
     @pytest.mark.parametrize("shuffle", [True, False])
     @pytest.mark.parametrize("drop_last", [True, False])
@@ -102,16 +113,17 @@ class TestDataLoaderFastPath:
         epochs_of = {}
         for fast in (False, True):
             loader = nn.DataLoader(ds, 6, shuffle=True,
-                                   rng=np.random.default_rng(7), fast=fast)
-            epochs_of[fast] = [[b[0].copy() for b in loader]
-                               for _ in range(3)]
+                                   rng=np.random.default_rng(7))
+            with _path(fast):
+                epochs_of[fast] = [[b[0].copy() for b in loader]
+                                   for _ in range(3)]
         for slow_epoch, fast_epoch in zip(epochs_of[False], epochs_of[True]):
             for sb, fb in zip(slow_epoch, fast_epoch):
                 np.testing.assert_array_equal(fb, sb)
 
     def test_fast_batches_are_readonly(self):
         ds = nn.ArrayDataset(np.arange(10, dtype=np.float64))
-        loader = nn.DataLoader(ds, 4, fast=True)
+        loader = nn.DataLoader(ds, 4)
         (batch,) = next(iter(loader))
         with pytest.raises(ValueError):
             batch[0] = 99.0
@@ -120,29 +132,21 @@ class TestDataLoaderFastPath:
         """Even on the no-copy path the dataset's arrays stay pristine."""
         data = np.arange(10, dtype=np.float64)
         ds = nn.ArrayDataset(data)
-        loader = nn.DataLoader(ds, 4, fast=True)
+        loader = nn.DataLoader(ds, 4)
         for (batch,) in loader:
             with pytest.raises(ValueError):
                 batch += 1.0
         np.testing.assert_array_equal(ds.arrays[0], np.arange(10))
 
     def test_slow_path_batches_stay_writable(self):
-        """fast=False preserves the historical copy-per-batch contract."""
+        """The reference path keeps the historical copy-per-batch
+        contract."""
         ds = nn.ArrayDataset(np.arange(10, dtype=np.float64))
-        loader = nn.DataLoader(ds, 4, fast=False)
-        (batch,) = next(iter(loader))
+        loader = nn.DataLoader(ds, 4)
+        with reference_path():
+            (batch,) = next(iter(loader))
         batch[0] = 99.0  # a copy — mutating it must not touch the dataset
         np.testing.assert_array_equal(ds.arrays[0], np.arange(10))
-
-    def test_default_follows_global_switch(self):
-        ds = nn.ArrayDataset(np.arange(8, dtype=np.float64))
-        loader = nn.DataLoader(ds, 4)  # fast=None -> fused_enabled()
-        with nn.fused_kernels(True):
-            (batch,) = next(iter(loader))
-            assert not batch.flags.writeable
-        with nn.fused_kernels(False):
-            (batch,) = next(iter(loader))
-            assert batch.flags.writeable
 
 
 class TestSplit:

@@ -1,17 +1,22 @@
 """The fused kernels' numeric contract vs the op-by-op reference path.
 
-Every fused kernel produces the exact same forward bits as the composed
+The reference is the test oracle in ``tests/nn/reference.py``: one
+composed twin per kernel, swapped in by ``reference_path()``.  Every
+fused kernel produces the exact same forward bits as the composed
 chain it replaces.  Gradients match the chain's bit for bit too, except
 where a backward pass reassociates sums: Linear's are 2-D GEMMs over the
 collapsed leading dims, so they are held to ``rtol=1e-12``.  The hot
 kernels' gradients are also checked against
 central finite differences.  The end-to-end classes extend the contract
-to whole training runs: fused on vs fused off agree within
-``rtol=1e-12`` in loss histories and weights, and the same path gives
-identical bits run to run.
+to whole training runs: the fast path and the reference path agree
+within ``rtol=1e-12`` in loss histories and weights, and the same path
+gives identical bits run to run.
 """
 
 from __future__ import annotations
+
+import contextlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +26,7 @@ from repro.nn import functional as F
 from repro.nn import fused
 
 from ..conftest import finite_difference_gradient
+from .reference import KERNELS, PATCHES, reference_path
 
 RTOL = 1e-12
 
@@ -46,15 +52,14 @@ def _pair(shape, seed, requires_grad=True):
 
 
 def _check(build, *leaf_pairs):
-    """Run ``build`` under both modes and compare outputs and gradients."""
+    """Run ``build`` on both paths and compare outputs and gradients."""
     ref_leaves = [p[0] for p in leaf_pairs]
     fused_leaves = [p[1] for p in leaf_pairs]
-    with fused.fused_kernels(False):
+    with reference_path():
         ref_out = build(*ref_leaves)
         ref_out.backward(np.ones_like(ref_out.data))
-    with fused.fused_kernels(True):
-        fused_out = build(*fused_leaves)
-        fused_out.backward(np.ones_like(fused_out.data))
+    fused_out = build(*fused_leaves)
+    fused_out.backward(np.ones_like(fused_out.data))
     np.testing.assert_array_equal(fused_out.data, ref_out.data)
     for ref_leaf, fused_leaf in zip(ref_leaves, fused_leaves):
         if ref_leaf.requires_grad:
@@ -70,18 +75,17 @@ class TestKernels:
         w = rng.normal(size=(shape[-1], 7))
         b = rng.normal(size=7)
         xr, xf = _pair(shape, 2)
-        with fused.fused_kernels(False):
+        with reference_path():
             layer_r = nn.Linear(shape[-1], 7, np.random.default_rng(1))
             layer_r.weight.data[...] = w
             layer_r.bias.data[...] = b
             out_r = (layer_r(xr) * 2.0).sum()
             out_r.backward()
-        with fused.fused_kernels(True):
-            layer_f = nn.Linear(shape[-1], 7, np.random.default_rng(1))
-            layer_f.weight.data[...] = w
-            layer_f.bias.data[...] = b
-            out_f = (layer_f(xf) * 2.0).sum()
-            out_f.backward()
+        layer_f = nn.Linear(shape[-1], 7, np.random.default_rng(1))
+        layer_f.weight.data[...] = w
+        layer_f.bias.data[...] = b
+        out_f = (layer_f(xf) * 2.0).sum()
+        out_f.backward()
         np.testing.assert_array_equal(out_f.data, out_r.data)
         _assert_close(xf.grad, xr.grad)
         _assert_close(layer_f.weight.grad, layer_r.weight.grad)
@@ -99,7 +103,7 @@ class TestKernels:
         w_data, b_data = rng.normal(size=(16, 48)), rng.normal(size=48)
         upstream = rng.normal(size=(lead, *inner, 48))
         leaves = {}
-        for name, op in (("ref", lambda x, w, b: x @ w + b),
+        for name, op in (("ref", KERNELS["linear"]),
                          ("fused", fused.linear)):
             x = nn.Tensor(data.copy(), requires_grad=True)
             w = nn.Tensor(w_data.copy(), requires_grad=True)
@@ -114,14 +118,56 @@ class TestKernels:
 
     def test_linear_no_bias(self):
         xr, xf = _pair((5, 3), 3)
-        with fused.fused_kernels(False):
+        with reference_path():
             lr = nn.Linear(3, 4, np.random.default_rng(1), bias=False)
             (lr(xr) * 3.0).sum().backward()
-        with fused.fused_kernels(True):
-            lf = nn.Linear(3, 4, np.random.default_rng(1), bias=False)
-            (lf(xf) * 3.0).sum().backward()
+        lf = nn.Linear(3, 4, np.random.default_rng(1), bias=False)
+        (lf(xf) * 3.0).sum().backward()
         _assert_close(xf.grad, xr.grad)
         _assert_close(lf.weight.grad, lr.weight.grad)
+
+    def test_ndarray_input_yields_tensor(self):
+        """Layers and losses take ndarrays through their kernels: the
+        result is a Tensor, bitwise the Tensor input's, and autograd
+        still reaches the parameters."""
+        rng = np.random.default_rng(23)
+        x = rng.normal(size=(2, 4))
+        layer = nn.Linear(4, 3, np.random.default_rng(0))
+        out = layer(x)
+        assert type(out) is nn.Tensor
+        np.testing.assert_array_equal(out.data, layer(nn.Tensor(x)).data)
+        out.sum().backward()
+        assert layer.weight.grad is not None
+        norm = nn.LayerNorm(4)
+        np.testing.assert_array_equal(norm(x).data, norm(nn.Tensor(x)).data)
+        target = rng.normal(size=(2, 4))
+        for loss in (nn.mse_loss, nn.l1_loss,
+                     nn.binary_cross_entropy_with_logits):
+            value = loss(x, target)
+            assert type(value) is nn.Tensor
+            np.testing.assert_array_equal(
+                value.data, loss(nn.Tensor(x), target).data)
+
+    def test_linear_1d_input_matches_reference(self):
+        rng = np.random.default_rng(24)
+        w, b = rng.normal(size=(4, 3)), rng.normal(size=3)
+        xr, xf = _pair((4,), 25)
+        layers = []
+        for x, scope in ((xr, reference_path()),
+                         (xf, contextlib.nullcontext())):
+            with scope:
+                layer = nn.Linear(4, 3, np.random.default_rng(1))
+                layer.weight.data[...] = w
+                layer.bias.data[...] = b
+                out = layer(x)
+                (out * 2.0).sum().backward()
+            layers.append((out, layer))
+        (out_r, layer_r), (out_f, layer_f) = layers
+        assert out_f.shape == (3,)
+        np.testing.assert_array_equal(out_f.data, out_r.data)
+        _assert_close(xf.grad, xr.grad)
+        _assert_close(layer_f.weight.grad, layer_r.weight.grad)
+        _assert_close(layer_f.bias.grad, layer_r.bias.grad)
 
     @pytest.mark.parametrize("shape", [(7, 9), (2, 5, 6)])
     def test_gelu(self, shape):
@@ -130,12 +176,11 @@ class TestKernels:
     @pytest.mark.parametrize("shape", [(6, 8), (3, 4, 8)])
     def test_layer_norm(self, shape):
         xr, xf = _pair(shape, 5)
-        with fused.fused_kernels(False):
+        with reference_path():
             ln_r = nn.LayerNorm(shape[-1])
             ((ln_r(xr)) * 1.3).sum().backward()
-        with fused.fused_kernels(True):
-            ln_f = nn.LayerNorm(shape[-1])
-            ((ln_f(xf)) * 1.3).sum().backward()
+        ln_f = nn.LayerNorm(shape[-1])
+        ((ln_f(xf)) * 1.3).sum().backward()
         np.testing.assert_array_equal(xf.grad, xr.grad)
         np.testing.assert_array_equal(ln_f.gamma.grad, ln_r.gamma.grad)
         np.testing.assert_array_equal(ln_f.beta.grad, ln_r.beta.grad)
@@ -155,30 +200,23 @@ class TestKernels:
         ar, af = _pair((2, 3, 4, 5), 9)
         br, bf = _pair((2, 3, 5, 4), 10)
 
-        def build_ref():
-            with fused.fused_kernels(False):
-                out = ((ar @ br) * 0.25 + (ar @ br)).sum()
-                out.backward()
+        def build(a, b):
+            (fused.scaled_matmul(a, b, 0.25) + fused.matmul(a, b)) \
+                .sum().backward()
 
-        def build_fused():
-            with fused.fused_kernels(True):
-                out = (fused.scaled_matmul(af, bf, 0.25)
-                       + fused.matmul(af, bf)).sum()
-                out.backward()
-
-        build_ref()
-        build_fused()
+        with reference_path():
+            build(ar, br)
+        build(af, bf)
         np.testing.assert_array_equal(af.grad, ar.grad)
         np.testing.assert_array_equal(bf.grad, br.grad)
 
     def test_split_merge_heads(self):
         xr, xf = _pair((3, 4, 8), 11)
-        with fused.fused_kernels(False):
-            s = xr.reshape(3, 4, 2, 4).swapaxes(1, 2)
-            (s.swapaxes(1, 2).reshape(3, 4, 8) * 1.5).sum().backward()
-        with fused.fused_kernels(True):
-            s = fused.split_heads(xf, 2, 4)
+        with reference_path():
+            s = fused.split_heads(xr, 2, 4)
             (fused.merge_heads(s) * 1.5).sum().backward()
+        s = fused.split_heads(xf, 2, 4)
+        (fused.merge_heads(s) * 1.5).sum().backward()
         np.testing.assert_array_equal(xf.grad, xr.grad)
 
     def test_bce_with_logits(self):
@@ -203,7 +241,8 @@ class TestKernels:
         _check(lambda x: loss(x, q), _pair((9, 6), 19))
 
     def test_unification_loss_gamma_falls_back(self):
-        """gamma != 1 keeps the composed path under fused mode."""
+        """gamma != 1 runs the composed focal weights around the BCE
+        kernel on both paths."""
         rng = np.random.default_rng(20)
         q = rng.random((4, 5))
         loss = nn.UnificationLoss(alpha=0.75, gamma=2.0)
@@ -305,31 +344,37 @@ class TestInferencePaths:
         np.testing.assert_array_equal(fused.gelu(frozen).data, gelu.data)
 
 
+def _tiny_fit(config=None, samples=96, epochs=2):
+    """A stage-1 + stage-2 fit of a small model: (histories, weights)."""
+    from repro.core import (AirchitectV2, ModelConfig, Stage1Config,
+                            Stage1Trainer, Stage2Config, Stage2Trainer)
+    from repro.dse import DSEProblem, generate_random_dataset
+
+    problem = DSEProblem()
+    data = generate_random_dataset(problem, samples, np.random.default_rng(3))
+    config = config or ModelConfig(d_model=16, n_layers=1, n_heads=2,
+                                   embed_dim=8, head_hidden=16,
+                                   num_buckets=8)
+    model = AirchitectV2(config, problem, np.random.default_rng(0))
+    h1 = Stage1Trainer(model, Stage1Config(epochs=epochs)).train(data)
+    h2 = Stage2Trainer(model, Stage2Config(epochs=epochs)).train(data)
+    weights = {k: p.data.copy() for k, p in model.named_parameters()}
+    return h1, h2, weights
+
+
 class TestEndToEnd:
-    """Whole-model fused-vs-reference agreement (the benchmark's
+    """Whole-model fast-vs-reference agreement (the benchmark's
     contract, in miniature, inside tier-1) and same-path determinism."""
 
     @staticmethod
-    def _histories(fused_mode, config=None, samples=96, epochs=2):
-        from repro.core import (AirchitectV2, ModelConfig, Stage1Config,
-                                Stage1Trainer, Stage2Config, Stage2Trainer)
-        from repro.dse import DSEProblem, generate_random_dataset
-
-        problem = DSEProblem()
-        data = generate_random_dataset(problem, samples,
-                                       np.random.default_rng(3))
-        config = config or ModelConfig(d_model=16, n_layers=1, n_heads=2,
-                                       embed_dim=8, head_hidden=16,
-                                       num_buckets=8)
-        with fused.fused_kernels(fused_mode):
-            model = AirchitectV2(config, problem, np.random.default_rng(0))
-            h1 = Stage1Trainer(model, Stage1Config(epochs=epochs)).train(data)
-            h2 = Stage2Trainer(model, Stage2Config(epochs=epochs)).train(data)
-            weights = {k: p.data.copy() for k, p in model.named_parameters()}
-        return h1, h2, weights
+    def _histories(fast, config=None, samples=96, epochs=2):
+        if fast:
+            return _tiny_fit(config, samples, epochs)
+        with reference_path():
+            return _tiny_fit(config, samples, epochs)
 
     def test_two_stage_training_identical(self):
-        """Fused and reference fits agree within ``rtol=1e-12``."""
+        """Fast and reference fits agree within ``rtol=1e-12``."""
         h1_ref, h2_ref, w_ref = self._histories(False)
         h1_fused, h2_fused, w_fused = self._histories(True)
         for fast, ref in ((h1_fused, h1_ref), (h2_fused, h2_ref)):
@@ -346,7 +391,7 @@ class TestEndToEnd:
             _assert_close(w_fused[key], value, err_msg=key, scale=scale)
 
     def test_same_path_is_bit_identical_run_to_run(self):
-        """Two identical ``small``-width fits on the fused path (default
+        """Two identical ``small``-width fits on the fast path (default
         BLAS threading) give identical history and weight bits."""
         from repro.experiments.harness import get_scale
         config = get_scale("small").model_config()
@@ -359,7 +404,7 @@ class TestEndToEnd:
 
     def test_stage2_with_dropout_stays_identical(self):
         """Active encoder dropout disables the embedding cache (a cached
-        embedding would freeze one dropout mask); fused and reference must
+        embedding would freeze one dropout mask); fast and reference must
         still agree."""
         from repro.core import (AirchitectV2, ModelConfig, Stage2Config,
                                 Stage2Trainer)
@@ -370,38 +415,128 @@ class TestEndToEnd:
         data = generate_random_dataset(problem, 64, np.random.default_rng(4))
         config = ModelConfig(d_model=16, n_layers=1, n_heads=2, embed_dim=8,
                              head_hidden=16, num_buckets=8, dropout=0.25)
-        histories = {}
-        for mode in (False, True):
-            with fused.fused_kernels(mode):
-                model = AirchitectV2(config, problem,
-                                     np.random.default_rng(0))
-                trainer = Stage2Trainer(model, Stage2Config(epochs=2))
-                assert not _Stage2Task(trainer, data)._embed_cacheable
-                histories[mode] = trainer.train(data)
-        _assert_close(histories[True]["loss"], histories[False]["loss"])
+
+        def fit():
+            model = AirchitectV2(config, problem, np.random.default_rng(0))
+            trainer = Stage2Trainer(model, Stage2Config(epochs=2))
+            assert not _Stage2Task(trainer, data)._embed_cacheable
+            return trainer.train(data)
+
+        with reference_path():
+            reference = fit()
+        _assert_close(fit()["loss"], reference["loss"])
 
 
-class TestSwitch:
-    """``fused_kernels`` is a scoped, exception-safe override."""
+def _observed_fit(reference: bool) -> dict:
+    """A tiny two-stage fit with every fast mechanism instrumented.
 
-    def test_fused_kernels_exception_safe(self):
-        assert nn.fused_enabled()
+    Counts calls into the real ``repro.nn.fused`` kernels (wrapped
+    before the oracle is swapped in, so the oracle's twins replace the
+    wrappers), records each optimiser, each loader batch and, per
+    stage-2 step, whether the embedding cache is in use.
+    """
+    from repro.core.stage2 import _Stage2Task
+    from repro.nn.data import DataLoader
+    from repro.nn.optim import Optimizer
+
+    calls = {name: 0 for name in fused.__all__}
+    optimizers, batches, cache_used = [], [], []
+
+    def counting(name, kernel):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return kernel(*args, **kwargs)
+        return wrapper
+
+    real_init = Optimizer.__init__
+
+    def recording_init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        optimizers.append(self)
+
+    real_step = _Stage2Task.batch_step
+
+    def recording_step(self, batch, step, rng):
+        out = real_step(self, batch, step, rng)
+        assert self._embed_cacheable
+        cache_used.append(self._embed_cache is not None)
+        return out
+
+    with contextlib.ExitStack() as stack:
+        for name in fused.__all__:
+            stack.enter_context(mock.patch.object(
+                fused, name, counting(name, getattr(fused, name))))
+        stack.enter_context(
+            mock.patch.object(Optimizer, "__init__", recording_init))
+        stack.enter_context(
+            mock.patch.object(_Stage2Task, "batch_step", recording_step))
+        if reference:
+            stack.enter_context(reference_path())
+        real_iter = DataLoader.__iter__
+
+        def recording_iter(loader):
+            for batch in real_iter(loader):
+                batches.append((batch, loader.dataset.arrays))
+                yield batch
+
+        stack.enter_context(
+            mock.patch.object(DataLoader, "__iter__", recording_iter))
+        _tiny_fit(samples=64, epochs=1)
+    return {"calls": calls, "optimizers": optimizers, "batches": batches,
+            "cache_used": cache_used}
+
+
+class TestReferencePath:
+    """``reference_path()`` replaces every fast mechanism and is an
+    exception-safe, nestable scope."""
+
+    @staticmethod
+    def _current():
+        return [owner.__dict__[attribute] for owner, attribute, _ in PATCHES]
+
+    def test_oracle_is_complete(self):
+        """Under the oracle a fit calls no real kernel, builds no arena,
+        gets writable batch copies and never fills the embedding cache."""
+        seen = _observed_fit(reference=True)
+        assert seen["calls"] == {name: 0 for name in fused.__all__}
+        assert len(seen["optimizers"]) >= 2
+        assert all(opt._arena is None for opt in seen["optimizers"])
+        assert seen["batches"]
+        for batch, sources in seen["batches"]:
+            for array in batch:
+                assert array.flags.writeable
+                assert not any(np.shares_memory(array, source)
+                               for source in sources)
+        assert seen["cache_used"] and not any(seen["cache_used"])
+
+    def test_instrumentation_sees_the_fast_path(self):
+        """The same instrumentation without the oracle sees every
+        mechanism at work, so the zeros above are not vacuous."""
+        seen = _observed_fit(reference=False)
+        assert sum(seen["calls"].values()) > 0
+        assert all(opt._arena is not None for opt in seen["optimizers"])
+        assert all(not array.flags.writeable
+                   for batch, _ in seen["batches"] for array in batch)
+        assert seen["cache_used"] and all(seen["cache_used"])
+
+    def test_restores_every_attribute_after_a_raise(self):
+        originals = self._current()
         with pytest.raises(RuntimeError):
-            with nn.fused_kernels(False):
-                assert not nn.fused_enabled()
+            with reference_path():
+                assert all(fused.__dict__[name] is kernel
+                           for name, kernel in KERNELS.items())
                 raise RuntimeError("boom")
-        assert nn.fused_enabled()
+        assert all(now is was for now, was in zip(self._current(), originals))
 
-    def test_nested_scopes(self):
-        with nn.fused_kernels(False):
-            with nn.fused_kernels(True):
-                assert nn.fused_enabled()
-            assert not nn.fused_enabled()
-        assert nn.fused_enabled()
+    def test_nested_scopes_restore(self):
+        originals = self._current()
+        with reference_path():
+            swapped = self._current()
+            with reference_path():
+                pass
+            assert all(now is was
+                       for now, was in zip(self._current(), swapped))
+        assert all(now is was for now, was in zip(self._current(), originals))
 
-    def test_scope_close_is_idempotent(self):
-        scope = nn.fused_kernels(False)
-        assert not nn.fused_enabled()
-        scope.close()
-        scope.close()
-        assert nn.fused_enabled()
+    def test_every_kernel_has_a_twin(self):
+        assert set(KERNELS) == set(fused.__all__)

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.nn import fused
+
+from .reference import reference_path
 
 
 def _model(seed=0):
@@ -46,7 +47,7 @@ def _steps(model, opt, n, seed=42, clip=None):
 ])
 def test_arena_step_bit_identical_to_reference(opt_cls, kwargs):
     ref_model = _model()
-    with fused.fused_kernels(False):            # no arena
+    with reference_path():                      # no arena
         ref_opt = opt_cls(ref_model.parameters(), **kwargs)
         ref_losses = _steps(ref_model, ref_opt, 5, clip=1.0)
     arena_model = _model()
@@ -87,7 +88,7 @@ def test_pre_arena_snapshot_loads_into_arena_optimizer(tmp_path):
     """A snapshot produced by the reference (pre-arena) implementation —
     per-parameter moment arrays in an .npz — loads into the arena-backed
     optimiser and resumes bit-identically."""
-    with fused.fused_kernels(False):
+    with reference_path():
         model_ref = _model()
         opt_ref = nn.Adam(model_ref.parameters(), lr=1e-2)
         assert opt_ref._arena is None
