@@ -24,7 +24,8 @@ Four gates, one per serving-subsystem promise:
   per-call price of a disarmed probe times a generous per-request hook
   count against the bare engine p50.
 
-Run standalone to record the perf trajectory::
+Run standalone to record the perf trajectory (the record carries the
+commit, host, Python and numpy versions)::
 
     PYTHONPATH=src python benchmarks/bench_serving.py \
         --clients 16 --requests-per-client 64 --duration 5 \
@@ -54,6 +55,7 @@ import urllib.request
 
 import numpy as np
 import pytest
+from bench_train_step import _provenance
 
 from repro.core import (AirchitectV2, BatchedDSEPredictor, DSEPredictor,
                         ModelConfig)
@@ -127,6 +129,7 @@ def run_bench(clients: int = 16, requests_per_client: int = 64,
         batched_elapsed, pe, l2 = _drive_clients(
             clients, requests_per_client, inputs, one)
 
+    served = stats.snapshot()
     ref_pe, ref_l2 = reference.predict_indices(inputs)
     identical = bool(np.array_equal(pe, ref_pe) and np.array_equal(l2, ref_l2)
                      and np.array_equal(loop_pe, ref_pe)
@@ -142,9 +145,9 @@ def run_bench(clients: int = 16, requests_per_client: int = 64,
             "loop_requests_per_sec": loop_rps,
             "batched_requests_per_sec": batched_rps,
             "speedup": batched_rps / max(loop_rps, 1e-12),
-            "forward_passes": stats.forward_passes,
-            "mean_batch_size": stats.mean_batch_size,
-            "mean_queue_wait_ms": stats.mean_queue_wait_s * 1e3,
+            "forward_passes": served["forward_passes"],
+            "mean_batch_size": served["mean_batch_size"],
+            "mean_queue_wait_ms": served["mean_queue_wait_ms"],
             "identical_predictions": identical,
             "speedup_target": SPEEDUP_TARGET}
 
@@ -504,6 +507,7 @@ def main(argv: list[str] | None = None) -> int:
             requests_per_client=args.requests_per_client,
             max_batch_size=args.max_batch_size, seed=args.seed)
         result["faults"] = run_fault_overhead(seed=args.seed)
+    result["provenance"] = _provenance()
     text = json.dumps(result, indent=2)
     print(text)
     if args.output:

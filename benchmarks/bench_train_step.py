@@ -189,6 +189,7 @@ def run_profile_overhead(samples: int = SAMPLES_DEFAULT,
                          epochs: int = EPOCHS_DEFAULT,
                          rounds: int = ROUNDS_DEFAULT, seed: int = 7,
                          model_config: ModelConfig | None = None,
+                         batch_size: int | None = None,
                          warmup_epochs: int = 0) -> dict:
     """The instrumentation gate of the telemetry layer (PR 7).
 
@@ -203,7 +204,8 @@ def run_profile_overhead(samples: int = SAMPLES_DEFAULT,
     dataset = generate_random_dataset(problem, samples,
                                       np.random.default_rng(seed))
     model_config = model_config or ModelConfig()
-    stage2 = Stage2Config(epochs=epochs)
+    stage2 = (Stage2Config(epochs=epochs) if batch_size is None
+              else Stage2Config(epochs=epochs, batch_size=batch_size))
 
     _fit(problem, dataset, model_config, Stage2Config(epochs=1), fused=True)
 
@@ -230,6 +232,8 @@ def run_profile_overhead(samples: int = SAMPLES_DEFAULT,
     shares = {phase: stats["share"]
               for phase, stats in snapshot["phases"].items()}
     return {"rounds": rounds,
+            "batch_size": stage2.batch_size,
+            "steps_per_epoch": steps_per_epoch,
             "warmup_epochs": warmup_epochs,
             "plain_step_ms": 1000.0 * plain_step,
             "profiled_step_ms": 1000.0 * profiled_step,
@@ -260,6 +264,7 @@ def run_smoke() -> dict:
     # median at this tiny scale, and each extra round costs ~0.1s.
     result["profiling"] = run_profile_overhead(samples=512, epochs=8,
                                                rounds=4, model_config=config,
+                                               batch_size=64,
                                                warmup_epochs=3)
     return result
 

@@ -204,8 +204,9 @@ class BatchedDSEPredictor:
         completed forward pass (one call per tile, in tile order, on the
         calling thread).  ``elapsed_s`` is the pass's own duration, so
         passes that ran side by side on the tile threads overlap.  The
-        serving layer hangs its throughput accounting off this hook
-        (:meth:`repro.serving.ServingStats.record_forward`).
+        serving layer hangs its throughput counters off this hook
+        (:meth:`repro.serving.ServingStats.record_forward`, served as
+        the ``forward_*`` keys of ``/stats``).
     """
 
     def __init__(self, model: AirchitectV2, on_batch=None):

@@ -6,8 +6,9 @@ the per-subsystem counters that accreted around it:
 * **Metrics** (:mod:`repro.obs.metrics`) — thread-safe, label-aware
   :class:`Counter`/:class:`Gauge`/:class:`Histogram` primitives in a
   :class:`MetricsRegistry` that renders the Prometheus text exposition
-  format.  :class:`~repro.serving.ServingStats` is built on these, and
-  both HTTP front-ends serve the registry at ``GET /metrics``.
+  format.  :class:`~repro.serving.ServingStats` publishes every serving
+  counter into the server's registry; the HTTP front-end renders it at
+  ``GET /metrics`` and reads the same series back for ``GET /stats``.
 * **Tracing** (:mod:`repro.obs.tracing`) — trace/span ids propagated
   from the HTTP front-ends through :class:`~repro.serving.DynamicBatcher`
   futures into the engine's forward passes; finished spans land in a

@@ -57,12 +57,12 @@ class LatencyHistogram:
     rank (clamped to the maximum observed sample), so they are
     conservative estimates within one bucket ratio of the true value.
 
-    Not thread-safe on its own: its owners (:class:`Histogram` children,
-    :class:`repro.serving.ServingStats`) serialise access under their
-    locks.  Snapshots carry the raw bucket counts *and* the exact
-    ``total_s`` so :meth:`merge_snapshots` can recompute aggregate
-    percentiles and means from summed counts instead of averaging
-    averages (or round-tripping through the rounded ``mean_ms``).
+    Not thread-safe on its own: its owner, a :class:`Histogram` child,
+    serialises access under its lock.  Snapshots carry the raw bucket
+    counts *and* the exact ``total_s`` so :meth:`merge_snapshots` can
+    recompute aggregate percentiles and means from summed counts instead
+    of averaging averages (or round-tripping through the rounded
+    ``mean_ms``).
     """
 
     _BOUNDS = _geometric_bounds(5e-5, 1.25, 64)     # upper bucket edges, s
@@ -120,24 +120,16 @@ class LatencyHistogram:
 
     @classmethod
     def merge_snapshots(cls, docs) -> dict:
-        """Aggregate snapshot dicts: sum buckets, recompute percentiles.
-
-        ``total_s`` sums exactly when present; snapshots written before it
-        was exported fall back to the rounded ``mean_ms * count``
-        reconstruction.  Bucket lists shorter or longer than the current
-        layout merge positionally (extra buckets are dropped, missing
-        ones count as empty) so layout drift degrades resolution instead
-        of crashing the aggregate.
-        """
-        docs = [d for d in docs if d and d.get("buckets")]
+        """Aggregate snapshot dicts (empty ones skipped): sum buckets,
+        recompute percentiles."""
+        docs = [d for d in docs if d]
         counts = [0] * (len(cls._BOUNDS) + 1)
         for doc in docs:
-            for i, bucket in enumerate(doc["buckets"][:len(counts)]):
-                counts[i] += bucket
+            counts = [a + b for a, b in zip(counts, doc["buckets"],
+                                            strict=True)]
         return cls._render(counts,
                            sum(d["count"] for d in docs),
-                           sum(d.get("total_s", d["mean_ms"] / 1e3 * d["count"])
-                               for d in docs),
+                           sum(d["total_s"] for d in docs),
                            max((d["max_ms"] / 1e3 for d in docs),
                                default=0.0))
 

@@ -14,8 +14,10 @@ into a serving stack:
   entries (``POST /predict`` routed by ``"model"``, streaming
   ``POST /sweep`` on the route's own engine, ``GET /models``,
   ``GET /healthz``, ``GET /stats``, ``GET /metrics``), with per-model
-  :class:`ServingStats` accounting (including p50/p95/p99 service
-  latency via :class:`LatencyHistogram`), bounded per-route admission
+  :class:`ServingStats` counters (including p50/p95/p99 service
+  latency via :class:`LatencyHistogram`) in the server's metrics
+  registry, read back as ``/stats`` documents through
+  :meth:`ServingStats.snapshot`, bounded per-route admission
   (429 + Retry-After), per-request timeouts (504), stalled-request reads
   (408) and graceful drain on shutdown.
 

@@ -44,14 +44,15 @@ Endpoints
 ``GET /healthz``
     ``{"status": "ok", "uptime_s": ...}`` — liveness probe.
 ``GET /stats``
-    Aggregate serving counters plus a per-model breakdown (requests,
-    batches, queue waits, forward passes, sweep/chunk counts, oracle
-    cache hit rate).
+    A per-model breakdown (requests, batches, queue waits, forward
+    passes, sweep/chunk counts, latency percentiles) and its aggregate
+    over the active routes and transport-level errors, plus the oracle
+    cache hit rate.
 ``GET /metrics``
-    The same numbers in the Prometheus text exposition format, rendered
+    The same series in the Prometheus text exposition format, rendered
     from the server's :class:`~repro.obs.MetricsRegistry` — every
-    route's :class:`ServingStats` series (labelled by model), uptime and
-    in-flight gauges.
+    route's :class:`ServingStats` series (labelled by model, kept after
+    the route is evicted), uptime and in-flight gauges.
 
 Requests are traced end to end: each ``/predict`` or ``/sweep`` gets a
 front-end span (honouring an ``X-Trace-Id`` request header, minting an
@@ -253,8 +254,9 @@ class ModelRoute:
 
     Routes are the unit of multi-model serving: each has its own request
     queue (so one model's burst never stalls another's latency), its own
-    :class:`ServingStats`, and one engine that serves both the batcher's
-    ``/predict`` passes and ``/sweep`` chunks.
+    :class:`ServingStats` (read through :meth:`stats_snapshot`), and one
+    engine that serves both the batcher's ``/predict`` passes and
+    ``/sweep`` chunks.
     """
 
     def __init__(self, name: str, model: AirchitectV2, *,
@@ -271,27 +273,29 @@ class ModelRoute:
         self.max_queue = max_queue
         self._inflight = 0
         self._admission_lock = threading.Lock()
-        self.registry = registry
         self.stats = ServingStats(registry=registry,
                                   labels={"model": name})
         self.breaker = CircuitBreaker(
             failure_threshold=breaker_threshold,
             reset_timeout_s=breaker_reset_s) \
             if breaker_threshold is not None else None
+        # Lazy gauges: the scrape reads the admission counter and the
+        # breaker directly, so they cost the hot path nothing extra.
+        self._gauges = []
         if registry is not None:
-            # Lazy gauge: the scrape reads the admission counter directly,
-            # so in-flight tracking costs the hot path nothing extra.
-            registry.gauge("repro_inflight_requests",
-                           "Requests admitted and not yet answered.",
-                           ("model",)).labels(model=name) \
-                .set_function(lambda: self.inflight)
+            inflight = registry.gauge(
+                "repro_inflight_requests",
+                "Requests admitted and not yet answered.", ("model",))
+            inflight.labels(model=name).set_function(lambda: self.inflight)
+            self._gauges.append(inflight)
             if self.breaker is not None:
-                registry.gauge(
+                breaker = registry.gauge(
                     "repro_breaker_state",
                     "Circuit breaker state per route "
-                    "(0=closed, 1=half-open, 2=open).",
-                    ("model",)).labels(model=name) \
-                    .set_function(lambda: float(self.breaker.state_code))
+                    "(0=closed, 1=half-open, 2=open).", ("model",))
+                breaker.labels(model=name).set_function(
+                    lambda: float(self.breaker.state_code))
+                self._gauges.append(breaker)
         self.last_served = time.time()
         self.engine = BatchedDSEPredictor(model,
                                           on_batch=self.stats.record_forward)
@@ -326,18 +330,10 @@ class ModelRoute:
 
     def stop(self) -> None:
         self.batcher.stop()
-        if self.registry is not None:
-            # Drop the lazy gauges so an evicted route's scrape callbacks
-            # cannot outlive the route (counters stay: they are history).
-            self.registry.gauge("repro_inflight_requests",
-                                "Requests admitted and not yet answered.",
-                                ("model",)).remove(model=self.name)
-            if self.breaker is not None:
-                self.registry.gauge(
-                    "repro_breaker_state",
-                    "Circuit breaker state per route "
-                    "(0=closed, 1=half-open, 2=open).",
-                    ("model",)).remove(model=self.name)
+        # Drop the lazy gauges so an evicted route's scrape callbacks
+        # cannot outlive the route (counters stay: they are history).
+        for family in self._gauges:
+            family.remove(model=self.name)
 
     def stats_snapshot(self) -> dict:
         doc = self.stats.snapshot()
@@ -865,7 +861,9 @@ class DSEServer:
                      for name, route in routes.items()}
         # Merge the *same* per-model snapshots that go out in the
         # response, so the aggregate always equals the breakdown's sum
-        # (and every route's stats lock is taken exactly once).
+        # plus the transport's errors (and every route's stats lock is
+        # taken exactly once).  An evicted route leaves both; its series
+        # stay on /metrics.
         doc = ServingStats.merge_snapshots(
             list(per_model.values()) + [self._errors.snapshot()],
             uptime_s=time.time() - self.started_at)
@@ -887,7 +885,8 @@ class DSEServer:
         for name, route in routes.items():
             entries[name] = {"model_id": name, "loaded": True,
                              "source": route.source,
-                             "requests_total": route.stats.requests_total,
+                             "requests_total":
+                                 route.stats.snapshot()["requests_total"],
                              "head_style": route.model.config.head_style
                              if hasattr(route.model, "config") else None}
         if self.registry is not None:

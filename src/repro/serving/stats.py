@@ -5,17 +5,17 @@ Each served model owns one :class:`ServingStats`: its
 per-batch sizes, the engine's ``on_batch`` hook
 (:class:`repro.core.BatchedDSEPredictor`) records raw forward passes, the
 streaming sweep endpoint records per-sweep row/chunk counts, and the HTTP
-front-ends record whole-request service latency into a
-:class:`LatencyHistogram` (p50/p95/p99 per route).
+front-end records whole-request service latency into a histogram
+(p50/p95/p99 per route).
 
-Since the unified telemetry layer landed, ``ServingStats`` is a *view*
-over :mod:`repro.obs` metrics: every counter/gauge/histogram lives in a
-:class:`~repro.obs.MetricsRegistry` (the server's, labelled by model;
-a private one for standalone use), so ``GET /metrics`` and ``GET /stats``
-are two renderings of the same numbers.  :meth:`snapshot` keeps the
-pre-telemetry JSON document unchanged — same keys, same types — so
-existing ``/stats`` consumers never notice.  An optional attached oracle
-contributes its label-cache hit rate.
+Every number lives in a :class:`~repro.obs.MetricsRegistry` (the
+server's, labelled by model; a private one for standalone use), so
+``GET /metrics`` and ``GET /stats`` are two renderings of the same
+series.  ``_DOCUMENT`` declares the route's ``/stats`` keys once: each
+counter key names its registry series, and :meth:`ServingStats.snapshot`
+(one route) and :meth:`ServingStats.merge_snapshots` (the aggregate) are
+both generated from it.  Counters are read under the route's lock, the
+lock every ``record_*`` call holds, so one route's document never tears.
 """
 
 from __future__ import annotations
@@ -23,20 +23,62 @@ from __future__ import annotations
 import threading
 import time
 
-from ..dse import ExhaustiveOracle
 from ..obs import LatencyHistogram, MetricsRegistry
 
 __all__ = ["LatencyHistogram", "ServingStats"]
 
+#: A route's ``/stats`` keys in document order.  Each counter key names
+#: its registry series, help text and JSON type; ``None`` marks a key
+#: derived from the counters.  The aggregate lists the counters first,
+#: then the derived keys, each group in this order.
+_DOCUMENT = (
+    ("requests_total", ("repro_requests_total",
+                        "Prediction requests received.", int)),
+    ("batches_total", ("repro_batches_total",
+                       "Coalesced batches served.", int)),
+    ("samples_total", ("repro_samples_total",
+                       "Rows served across all batches.", int)),
+    ("queued_samples", ("repro_queued_samples_total",
+                        "Rows that waited in the batcher queue.", int)),
+    ("mean_batch_size", None),
+    ("forward_passes", ("repro_forward_passes_total",
+                        "Engine forward passes completed.", int)),
+    ("forward_rows", ("repro_forward_rows_total",
+                      "Rows pushed through engine forward passes.", int)),
+    ("forward_time_s", ("repro_forward_seconds_total",
+                        "Seconds spent inside engine forward passes.",
+                        float)),
+    ("mean_queue_wait_ms", None),
+    ("max_queue_wait_ms", None),
+    ("queue_wait_total_s", ("repro_queue_wait_seconds_total",
+                            "Seconds queued rows spent waiting for their "
+                            "batch.", float)),
+    ("sweeps_total", ("repro_sweeps_total",
+                      "Streaming sweeps completed.", int)),
+    ("sweep_rows_total", ("repro_sweep_rows_total",
+                          "Rows served across streaming sweeps.", int)),
+    ("sweep_chunks_total", ("repro_sweep_chunks_total",
+                            "Chunks streamed across sweeps.", int)),
+    ("errors_total", ("repro_errors_total",
+                      "Requests that failed with an error.", int)),
+)
+_COUNTERS = tuple((key, series) for key, series in _DOCUMENT if series)
+_ROUTE_ORDER = tuple(key for key, _ in _DOCUMENT)
+_AGGREGATE_ORDER = tuple(key for key, _ in _COUNTERS) + tuple(
+    key for key, series in _DOCUMENT if series is None)
+
+
+def _document(uptime_s: float, values: dict, latency: dict,
+              order: tuple) -> dict:
+    return {"uptime_s": uptime_s, **{key: values[key] for key in order},
+            "latency": latency}
+
 
 class ServingStats:
-    """Aggregate serving counters (all methods thread-safe).
+    """One route's serving counters (all methods thread-safe).
 
     Parameters
     ----------
-    oracle:
-        Optional :class:`ExhaustiveOracle` whose label-cache hit rate the
-        snapshot reports.
     registry:
         The :class:`~repro.obs.MetricsRegistry` to publish into; a
         private registry is created when omitted (standalone batchers,
@@ -47,228 +89,103 @@ class ServingStats:
         one shared registry).
     """
 
-    _COUNTERS = (
-        ("_requests", "repro_requests_total",
-         "Prediction requests received."),
-        ("_batches", "repro_batches_total",
-         "Coalesced batches served."),
-        ("_samples", "repro_samples_total",
-         "Rows served across all batches."),
-        ("_queued_samples", "repro_queued_samples_total",
-         "Rows that waited in the batcher queue."),
-        ("_forward_passes", "repro_forward_passes_total",
-         "Engine forward passes completed."),
-        ("_forward_rows", "repro_forward_rows_total",
-         "Rows pushed through engine forward passes."),
-        ("_forward_seconds", "repro_forward_seconds_total",
-         "Seconds spent inside engine forward passes."),
-        ("_queue_wait_seconds", "repro_queue_wait_seconds_total",
-         "Seconds queued rows spent waiting for their batch."),
-        ("_sweeps", "repro_sweeps_total",
-         "Streaming sweeps completed."),
-        ("_sweep_rows", "repro_sweep_rows_total",
-         "Rows served across streaming sweeps."),
-        ("_sweep_chunks", "repro_sweep_chunks_total",
-         "Chunks streamed across sweeps."),
-        ("_errors", "repro_errors_total",
-         "Requests that failed with an error."),
-    )
-
-    def __init__(self, oracle: ExhaustiveOracle | None = None,
-                 registry: MetricsRegistry | None = None,
+    def __init__(self, registry: MetricsRegistry | None = None,
                  labels: dict | None = None):
         self._lock = threading.Lock()
-        self.oracle = oracle
         self.started_at = time.time()
-        self.registry = MetricsRegistry() if registry is None else registry
-        self.labels = {str(k): str(v) for k, v in (labels or {}).items()}
-        names = tuple(self.labels)
-        for attr, metric, help in self._COUNTERS:
-            family = self.registry.counter(metric, help, names)
-            setattr(self, attr, family.labels(**self.labels)
-                    if names else family.labels())
-        gauge = self.registry.gauge("repro_queue_wait_max_seconds",
-                                    "Longest observed batcher queue wait.",
-                                    names)
-        self._queue_wait_max = gauge.labels(**self.labels) if names \
-            else gauge.labels()
-        hist = self.registry.histogram(
+        registry = MetricsRegistry() if registry is None else registry
+        labels = {str(k): str(v) for k, v in (labels or {}).items()}
+        names = tuple(labels)
+        self._counters = {
+            key: registry.counter(metric, help, names).labels(**labels)
+            for key, (metric, help, _) in _COUNTERS}
+        self._queue_wait_max = registry.gauge(
+            "repro_queue_wait_max_seconds",
+            "Longest observed batcher queue wait.", names).labels(**labels)
+        self._latency = registry.histogram(
             "repro_request_latency_seconds",
-            "Whole-request service latency at the HTTP front-end.", names)
-        self._latency = hist.labels(**self.labels) if names \
-            else hist.labels()
+            "Whole-request service latency at the HTTP front-end.",
+            names).labels(**labels)
 
     # ------------------------------------------------------------------
     def record_request(self, count: int = 1) -> None:
         with self._lock:
-            self._requests.inc(count)
+            self._counters["requests_total"].inc(count)
 
     def record_batch(self, size: int, queue_waits_s) -> None:
         """One served batch: its size and the waits of its *queued* rows
         (empty for the bulk fast path, which never queues)."""
+        counters = self._counters
         with self._lock:
-            self._batches.inc()
-            self._samples.inc(size)
+            counters["batches_total"].inc()
+            counters["samples_total"].inc(size)
             for wait in queue_waits_s:
-                self._queued_samples.inc()
-                self._queue_wait_seconds.inc(wait)
+                counters["queued_samples"].inc()
+                counters["queue_wait_total_s"].inc(wait)
                 self._queue_wait_max.set_max(wait)
 
     def record_forward(self, rows: int, elapsed_s: float) -> None:
         """``on_batch`` hook: one engine forward pass completed."""
+        counters = self._counters
         with self._lock:
-            self._forward_passes.inc()
-            self._forward_rows.inc(rows)
-            self._forward_seconds.inc(elapsed_s)
+            counters["forward_passes"].inc()
+            counters["forward_rows"].inc(rows)
+            counters["forward_time_s"].inc(elapsed_s)
 
     def record_sweep(self, rows: int, chunks: int) -> None:
         """One completed streaming sweep: its row and chunk counts."""
+        counters = self._counters
         with self._lock:
-            self._sweeps.inc()
-            self._sweep_rows.inc(rows)
-            self._sweep_chunks.inc(chunks)
+            counters["sweeps_total"].inc()
+            counters["sweep_rows_total"].inc(rows)
+            counters["sweep_chunks_total"].inc(chunks)
 
     def record_error(self) -> None:
         with self._lock:
-            self._errors.inc()
+            self._counters["errors_total"].inc()
 
     def record_latency(self, seconds: float) -> None:
-        """One served request's whole-service latency (HTTP front-ends)."""
+        """One served request's whole-service latency (HTTP front-end)."""
         with self._lock:
             self._latency.observe(seconds)
 
     # ------------------------------------------------------------------
-    # Back-compat accessors (the pre-telemetry attribute surface)
-    # ------------------------------------------------------------------
-    @property
-    def requests_total(self) -> int:
-        return self._requests.value
-
-    @property
-    def batches_total(self) -> int:
-        return self._batches.value
-
-    @property
-    def samples_total(self) -> int:
-        return self._samples.value
-
-    @property
-    def queued_samples(self) -> int:
-        return self._queued_samples.value
-
-    @property
-    def forward_passes(self) -> int:
-        return self._forward_passes.value
-
-    @property
-    def forward_rows(self) -> int:
-        return self._forward_rows.value
-
-    @property
-    def forward_time_s(self) -> float:
-        return float(self._forward_seconds.value)
-
-    @property
-    def queue_wait_total_s(self) -> float:
-        return float(self._queue_wait_seconds.value)
-
-    @property
-    def queue_wait_max_s(self) -> float:
-        return float(self._queue_wait_max.value)
-
-    @property
-    def sweeps_total(self) -> int:
-        return self._sweeps.value
-
-    @property
-    def sweep_rows_total(self) -> int:
-        return self._sweep_rows.value
-
-    @property
-    def sweep_chunks_total(self) -> int:
-        return self._sweep_chunks.value
-
-    @property
-    def errors_total(self) -> int:
-        return self._errors.value
-
-    @property
-    def latency(self) -> LatencyHistogram:
-        """The raw request-latency histogram (read-side back-compat)."""
-        return self._latency.raw
-
-    @property
-    def mean_batch_size(self) -> float:
-        batches = self.batches_total
-        return self.samples_total / batches if batches else 0.0
-
-    @property
-    def mean_queue_wait_s(self) -> float:
-        queued = self.queued_samples
-        return self.queue_wait_total_s / queued if queued else 0.0
-
     def snapshot(self) -> dict:
-        """A JSON-ready copy of every counter (plus derived rates).
-
-        The document is key-for-key and type-for-type identical to the
-        pre-telemetry ``ServingStats`` — it is now *derived* from the
-        metrics registry rather than from private attributes.
-        """
+        """The route's ``/stats`` document: every counter, the derived
+        means and maximum, and the latency percentiles."""
         with self._lock:
-            doc = {
-                "uptime_s": time.time() - self.started_at,
-                "requests_total": self._requests.value,
-                "batches_total": self._batches.value,
-                "samples_total": self._samples.value,
-                "queued_samples": self._queued_samples.value,
-                "mean_batch_size": self.mean_batch_size,
-                "forward_passes": self._forward_passes.value,
-                "forward_rows": self._forward_rows.value,
-                "forward_time_s": float(self._forward_seconds.value),
-                "mean_queue_wait_ms": self.mean_queue_wait_s * 1e3,
-                "max_queue_wait_ms": float(self._queue_wait_max.value) * 1e3,
-                "queue_wait_total_s": float(self._queue_wait_seconds.value),
-                "sweeps_total": self._sweeps.value,
-                "sweep_rows_total": self._sweep_rows.value,
-                "sweep_chunks_total": self._sweep_chunks.value,
-                "errors_total": self._errors.value,
-                "latency": self._latency.snapshot(),
-            }
-        if self.oracle is not None:
-            info = self.oracle.cache_info()
-            doc["oracle_cache"] = {"hits": info.hits, "misses": info.misses,
-                                   "size": info.size,
-                                   "capacity": info.capacity,
-                                   "hit_rate": info.hit_rate}
-        return doc
+            uptime_s = time.time() - self.started_at
+            values = {key: kind(self._counters[key].value)
+                      for key, (_, _, kind) in _COUNTERS}
+            max_wait_s = float(self._queue_wait_max.value)
+            latency = self._latency.snapshot()
+        batches, queued = values["batches_total"], values["queued_samples"]
+        values["mean_batch_size"] = (values["samples_total"] / batches
+                                     if batches else 0.0)
+        values["mean_queue_wait_ms"] = (
+            values["queue_wait_total_s"] / queued if queued else 0.0) * 1e3
+        values["max_queue_wait_ms"] = max_wait_s * 1e3
+        return _document(uptime_s, values, latency, _ROUTE_ORDER)
 
     @staticmethod
     def merge_snapshots(snapshots, uptime_s: float) -> dict:
-        """Aggregate per-model snapshots into one fleet-level view.
+        """Aggregate route documents into one fleet-level view.
 
         Counters sum; means are recomputed from the summed numerators and
-        denominators (never averaged-of-averages); maxima take the max.
-        Heterogeneous snapshots are tolerated: a route whose snapshot
-        predates a newly-added counter (e.g. after a route hot-add
-        mid-flight) contributes zero for the missing key instead of
-        raising ``KeyError`` out of the aggregate ``/stats``.
+        denominators (never averaged-of-averages); the maximum wait takes
+        the max; latency histograms merge bucket by bucket.
         """
         snapshots = list(snapshots)
-        merged = {"uptime_s": uptime_s}
-        for key in ("requests_total", "batches_total", "samples_total",
-                    "queued_samples", "forward_passes", "forward_rows",
-                    "forward_time_s", "queue_wait_total_s", "sweeps_total",
-                    "sweep_rows_total", "sweep_chunks_total", "errors_total"):
-            merged[key] = sum(s.get(key, 0) for s in snapshots)
-        merged["mean_batch_size"] = (
-            merged["samples_total"] / merged["batches_total"]
-            if merged["batches_total"] else 0.0)
-        merged["mean_queue_wait_ms"] = (
-            1e3 * merged["queue_wait_total_s"] / merged["queued_samples"]
-            if merged["queued_samples"] else 0.0)
-        merged["max_queue_wait_ms"] = max(
-            (s.get("max_queue_wait_ms", 0.0) for s in snapshots),
-            default=0.0)
-        merged["latency"] = LatencyHistogram.merge_snapshots(
-            s.get("latency") for s in snapshots)
-        return merged
+        values = {key: sum(s[key] for s in snapshots)
+                  for key, _ in _COUNTERS}
+        batches, queued = values["batches_total"], values["queued_samples"]
+        values["mean_batch_size"] = (values["samples_total"] / batches
+                                     if batches else 0.0)
+        # Scaled before the division, unlike a route's mean: the two
+        # roundings are what /stats has always served.
+        values["mean_queue_wait_ms"] = (
+            1e3 * values["queue_wait_total_s"] / queued if queued else 0.0)
+        values["max_queue_wait_ms"] = max(
+            (s["max_queue_wait_ms"] for s in snapshots), default=0.0)
+        return _document(uptime_s, values, LatencyHistogram.merge_snapshots(
+            s["latency"] for s in snapshots), _AGGREGATE_ORDER)

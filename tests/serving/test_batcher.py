@@ -28,10 +28,11 @@ class TestCoalescing:
         results = [f.result(30) for f in futures]
         batcher.stop()
 
-        assert batcher.stats.forward_passes == 3       # ceil(20 / 8)
-        assert batcher.stats.batches_total == 3
-        assert batcher.stats.requests_total == 20
-        assert batcher.stats.samples_total == 20
+        stats = batcher.stats.snapshot()
+        assert stats["forward_passes"] == 3       # ceil(20 / 8)
+        assert stats["batches_total"] == 3
+        assert stats["requests_total"] == 20
+        assert stats["samples_total"] == 20
         assert [r.batch_size for r in results[:8]] == [8] * 8
 
     def test_concurrent_threads_share_forward_passes(self, serve_model,
@@ -70,8 +71,9 @@ class TestCoalescing:
         batcher.stop()
 
         # One held pass of >= 1 row, then at most ceil(23 / 8) more.
-        assert batcher.stats.forward_passes <= 1 + 3
-        assert batcher.stats.samples_total == n_clients
+        stats = batcher.stats.snapshot()
+        assert stats["forward_passes"] <= 1 + 3
+        assert stats["samples_total"] == n_clients
         pe_ref, l2_ref = DSEPredictor(serve_model).predict_indices(inputs)
         for i in range(n_clients):
             assert results[i].pe_idx == pe_ref[i]
@@ -110,8 +112,9 @@ class TestParityAndResults:
         pe_ref, l2_ref = DSEPredictor(serve_model).predict_indices(inputs)
         np.testing.assert_array_equal([s.pe_idx for s in served], pe_ref)
         np.testing.assert_array_equal([s.l2_idx for s in served], l2_ref)
-        assert batcher.stats.requests_total == 150
-        assert batcher.stats.batches_total == 1
+        stats = batcher.stats.snapshot()
+        assert stats["requests_total"] == 150
+        assert stats["batches_total"] == 1
         assert all(s.batch_size == 150 for s in served)
 
     def test_predict_batch_validates_dataflow(self, serve_model):
@@ -177,7 +180,7 @@ class TestCancelledFutures:
         assert batcher.predict(8, 8, 8, timeout=10) is not None
         batcher.stop()
         # Cancelled rows never reached the engine or the batch counters.
-        assert batcher.stats.samples_total == 1
+        assert batcher.stats.snapshot()["samples_total"] == 1
 
 
 class TestStopTimeout:
@@ -218,7 +221,7 @@ class TestWorkConservingBatching:
             == [8] * 8 + [8] * 8 + [3] * 3
         batcher.stop()
         assert engine.pass_rows == [1, 8, 8, 3]   # 1 + ceil(19 / 8)
-        assert batcher.stats.batches_total == 4
+        assert batcher.stats.snapshot()["batches_total"] == 4
 
 
 class TestStatsAccounting:
@@ -229,16 +232,16 @@ class TestStatsAccounting:
         batcher.stop()
         with pytest.raises(RuntimeError, match="closed"):
             batcher.submit(8, 8, 8)
-        assert batcher.stats.requests_total == 0
+        assert batcher.stats.snapshot()["requests_total"] == 0
 
     def test_empty_waits_do_not_poison_wait_percentiles(self):
         stats = ServingStats()
         stats.record_batch(3, ())           # the bulk fast path: no queue
-        assert stats.queued_samples == 0
-        assert stats.mean_queue_wait_s == 0.0
+        assert stats.snapshot()["queued_samples"] == 0
+        assert stats.snapshot()["mean_queue_wait_ms"] == 0.0
         stats.record_batch(2, (0.5, 0.5))
-        assert stats.queued_samples == 2
-        assert stats.mean_queue_wait_s == pytest.approx(0.5)
+        assert stats.snapshot()["queued_samples"] == 2
+        assert stats.snapshot()["mean_queue_wait_ms"] == pytest.approx(500.0)
 
     def test_predict_batch_engine_failure_counts_an_error(self, serve_model,
                                                           problem):
@@ -250,7 +253,7 @@ class TestStatsAccounting:
         batcher.engine.predict_indices = boom
         with pytest.raises(RuntimeError, match="engine down"):
             batcher.predict_batch([(8, 8, 8, 0)])
-        assert batcher.stats.errors_total == 1
+        assert batcher.stats.snapshot()["errors_total"] == 1
 
 
 class TestEmptyBatch:
@@ -260,7 +263,7 @@ class TestEmptyBatch:
         batcher = _batcher(serve_model, start=False)
         with pytest.raises(ValueError, match="non-empty"):
             batcher.predict_batch([])
-        assert batcher.stats.requests_total == 0
+        assert batcher.stats.snapshot()["requests_total"] == 0
 
 
 class TestValidationAndLifecycle:
@@ -313,9 +316,9 @@ class TestSustainedLoad:
             t.join()
         batcher.stop()
 
-        stats = batcher.stats
-        assert stats.requests_total == n_clients * per_client
-        assert stats.samples_total == stats.requests_total
-        assert stats.errors_total == 0
-        assert stats.mean_batch_size > 2.0     # real coalescing under load
-        assert stats.forward_passes == stats.batches_total
+        stats = batcher.stats.snapshot()
+        assert stats["requests_total"] == n_clients * per_client
+        assert stats["samples_total"] == stats["requests_total"]
+        assert stats["errors_total"] == 0
+        assert stats["mean_batch_size"] > 2.0     # real coalescing under load
+        assert stats["forward_passes"] == stats["batches_total"]

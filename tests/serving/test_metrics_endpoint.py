@@ -3,15 +3,19 @@
 from __future__ import annotations
 
 import json
+import pathlib
 import re
 import time
 import urllib.error
 import urllib.request
 
+import numpy as np
 import pytest
 
+from repro.cli import main
+from repro.dse import ExhaustiveOracle
+from repro.registry import ModelRegistry
 from repro.serving import DSEServer
-from repro.serving.stats import ServingStats
 
 _SERIES_RE = re.compile(r"^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[^}]*\})? ")
 
@@ -24,6 +28,53 @@ _STATS_KEYS = (
     "mean_queue_wait_ms", "max_queue_wait_ms", "latency", "models",
     "default_model",
 )
+
+# The /stats and /metrics bytes of ``TestStatsGolden``'s fixed traffic,
+# captured before the stats path was rebuilt on one series declaration.
+_GOLDEN_STATS = (
+    b'{"uptime_s": 0.0, "requests_total": 4, "batches_total": 2, '
+    b'"samples_total": 4, "queued_samples": 2, "forward_passes": 3, '
+    b'"forward_rows": 68, "forward_time_s": 0.0172, '
+    b'"queue_wait_total_s": 0.0035, "sweeps_total": 1, '
+    b'"sweep_rows_total": 100, "sweep_chunks_total": 4, "errors_total": '
+    b'3, "mean_batch_size": 2.0, "mean_queue_wait_ms": 1.75, '
+    b'"max_queue_wait_ms": 2.5, "latency": {"count": 3, "mean_ms": '
+    b'88.36666666666666, "total_s": 0.2651, "p50_ms": '
+    b'13.234889800848443, "p95_ms": 250.0, "p99_ms": 250.0, "max_ms": '
+    b'250.0, "buckets": [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, '
+    b'0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, '
+    b'0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, '
+    b'0, 0, 0, 0, 0, 0]}, "models": {"alpha": {"uptime_s": 0.0, '
+    b'"requests_total": 3, "batches_total": 1, "samples_total": 3, '
+    b'"queued_samples": 2, "mean_batch_size": 3.0, "forward_passes": 2, '
+    b'"forward_rows": 67, "forward_time_s": 0.0165, '
+    b'"mean_queue_wait_ms": 1.75, "max_queue_wait_ms": 2.5, '
+    b'"queue_wait_total_s": 0.0035, "sweeps_total": 1, '
+    b'"sweep_rows_total": 100, "sweep_chunks_total": 4, "errors_total": '
+    b'0, "latency": {"count": 2, "mean_ms": 7.550000000000001, '
+    b'"total_s": 0.0151, "p50_ms": 3.469446951953614, "p95_ms": 12.0, '
+    b'"p99_ms": 12.0, "max_ms": 12.0, "buckets": [0, 0, 0, 0, 0, 0, 0, '
+    b'0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1, 0, 0, 0, '
+    b'0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, '
+    b'0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]}, "source": "direct", '
+    b'"inflight": 0, "max_queue": null, "breaker": {"state": "closed", '
+    b'"opens": 0}}, "beta": {"uptime_s": 0.0, "requests_total": 1, '
+    b'"batches_total": 1, "samples_total": 1, "queued_samples": 0, '
+    b'"mean_batch_size": 1.0, "forward_passes": 1, "forward_rows": 1, '
+    b'"forward_time_s": 0.0007, "mean_queue_wait_ms": 0.0, '
+    b'"max_queue_wait_ms": 0.0, "queue_wait_total_s": 0.0, '
+    b'"sweeps_total": 0, "sweep_rows_total": 0, "sweep_chunks_total": '
+    b'0, "errors_total": 1, "latency": {"count": 1, "mean_ms": 250.0, '
+    b'"total_s": 0.25, "p50_ms": 250.0, "p95_ms": 250.0, "p99_ms": '
+    b'250.0, "max_ms": 250.0, "buckets": [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, '
+    b'0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, '
+    b'0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, '
+    b'0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]}, "source": "registry", '
+    b'"inflight": 0, "max_queue": null, "breaker": {"state": "closed", '
+    b'"opens": 0}}}, "default_model": "alpha", "oracle_cache": {"hits": '
+    b'1, "misses": 1, "size": 1, "capacity": 16, "hit_rate": 0.5}}')
+_GOLDEN_METRICS = (pathlib.Path(__file__).parent / "golden"
+                   / "metrics.txt").read_text()
 
 
 @pytest.fixture
@@ -107,16 +158,36 @@ class TestStatsCompatibility:
             metrics_body.decode())
         assert int(match.group(1)) == doc["requests_total"]
 
-    def test_merge_snapshots_tolerates_missing_keys(self):
-        """Satellite fix: a snapshot predating a newly-added counter must
-        contribute zero, not raise KeyError out of /stats."""
-        full = ServingStats().snapshot()
-        legacy = dict(full)
-        del legacy["sweeps_total"]
-        del legacy["queue_wait_total_s"]
-        merged = ServingStats.merge_snapshots([full, legacy], uptime_s=1.0)
-        assert merged["sweeps_total"] == full["sweeps_total"]
-        assert merged["errors_total"] == 0
+
+class TestStatsCommand:
+    """``repro stats`` is the main client of the /stats keys."""
+
+    @pytest.fixture
+    def served(self, server):
+        _post(server, "/predict", {"m": 8, "n": 8, "k": 8})
+        return server
+
+    def test_plain_summary(self, served, capsys):
+        assert main(["stats", "--url", served.url]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].startswith(f"{served.url}  up ")
+        assert out[0].endswith("default model 'default'")
+        assert re.match(r"req +1  samples +1  batch +1\.00  p50 .*"
+                        r"errors 0$", out[1])
+        assert out[2] == "  default: req 1 inflight 0 errors 0"
+
+    def test_json_is_the_stats_document(self, served, capsys):
+        assert main(["stats", "--url", served.url, "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert tuple(doc) == _STATS_KEYS
+        assert doc["requests_total"] == 1
+        assert doc["models"]["default"]["requests_total"] == 1
+
+    def test_metrics_is_the_exposition(self, served, capsys):
+        assert main(["stats", "--url", served.url, "--metrics"]) == 0
+        out = capsys.readouterr().out
+        assert "# TYPE repro_requests_total counter\n" in out
+        assert 'repro_requests_total{model="default"} 1\n' in out
 
 
 class TestTracing:
@@ -176,3 +247,76 @@ class TestTracing:
         lines = [json.loads(line)
                  for line in path.read_text().splitlines()]
         assert any(doc["trace_id"] == trace_id for doc in lines)
+
+
+class TestStatsGolden:
+    """A fixed recorded traffic pattern renders to fixed ``/stats`` and
+    ``/metrics`` bytes: key order at both levels, value types and every
+    number are pinned, so a refactor of the stats path cannot drift."""
+
+    @pytest.fixture
+    def golden_server(self, tmp_path, serve_model, problem):
+        registry = ModelRegistry(tmp_path / "registry")
+        for name in ("beta", "gamma"):
+            registry.save(serve_model, name, scale="tiny")
+        oracle = ExhaustiveOracle(problem, cache_size=16)
+        row = np.array([[64, 512, 256, 1]])
+        oracle.solve(row)                       # one miss, then one hit
+        oracle.solve(row)
+        srv = DSEServer(serve_model, default_model="alpha",
+                        registry=registry, max_models=1, oracle=oracle)
+        srv.metrics.gauge("repro_uptime_seconds",
+                          "Seconds since the server started.").labels() \
+            .set_function(lambda: 12.5)
+        yield srv
+        srv.shutdown()
+
+    @staticmethod
+    def _record_traffic(srv):
+        alpha = srv.routes["alpha"].stats
+        beta = srv._route("beta").stats
+        alpha.record_request(3)
+        alpha.record_batch(3, (0.001, 0.0025))
+        alpha.record_forward(3, 0.004)
+        alpha.record_latency(0.0031)
+        alpha.record_latency(0.012)
+        alpha.record_sweep(100, 4)
+        alpha.record_forward(64, 0.0125)
+        beta.record_request()
+        beta.record_batch(1, ())
+        beta.record_forward(1, 0.0007)
+        beta.record_error()
+        beta.record_latency(0.25)
+        srv.record_error()
+        srv.record_error()
+
+    @staticmethod
+    def _stats_bytes(srv) -> bytes:
+        doc = srv.stats_snapshot()
+        doc["uptime_s"] = 0.0
+        for route in doc["models"].values():
+            route["uptime_s"] = 0.0
+        return json.dumps(doc).encode()
+
+    def test_stats_and_metrics_bytes_are_pinned(self, golden_server):
+        self._record_traffic(golden_server)
+        assert self._stats_bytes(golden_server) == _GOLDEN_STATS
+        assert golden_server.metrics.render() == _GOLDEN_METRICS
+
+    def test_evicted_route_leaves_stats_but_stays_on_metrics(
+            self, golden_server):
+        self._record_traffic(golden_server)
+        golden_server._route("gamma")           # max_models=1 evicts beta
+        doc = json.loads(self._stats_bytes(golden_server))
+        assert set(doc["models"]) == {"alpha", "gamma"}
+        # alpha's requests only: beta's counter left the aggregate.
+        assert doc["requests_total"] == 3
+        # alpha's latencies only; the transport records no latency.
+        assert doc["latency"]["count"] == 2
+        # The transport's two errors stay in the aggregate.
+        assert doc["errors_total"] == 2
+        text = golden_server.metrics.render()
+        assert 'repro_requests_total{model="beta"} 1\n' in text
+        assert 'repro_errors_total{model="beta"} 1\n' in text
+        assert 'repro_inflight_requests{model="beta"}' not in text
+        assert 'repro_breaker_state{model="beta"}' not in text

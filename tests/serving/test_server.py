@@ -789,7 +789,7 @@ class TestBackpressure:
             finally:
                 gate.restore()
         # Only the admitted request was ever counted.
-        assert route.stats.requests_total == 1
+        assert route.stats.snapshot()["requests_total"] == 1
 
 
 class TestRequestTimeout:
