@@ -9,8 +9,8 @@ Examples::
     python -m repro ablations              # extension studies
 
     # Batched one-shot DSE serving (trains/loads the model once, cached):
-    python -m repro predict --batch --random 1000 --json
-    python -m repro predict --batch --input layers.csv
+    python -m repro predict --random 1000 --json
+    python -m repro predict --input layers.csv
 
     # HTTP serving with dynamic batching and a persistent oracle cache:
     python -m repro serve --port 8080 --max-batch-size 64 \\
@@ -24,7 +24,7 @@ Examples::
     # "model" field; streaming bulk sweeps via POST /sweep):
     python -m repro serve --registry .repro_cache
     python -m repro predict --registry .repro_cache \\
-        --model-id v2_small_s0 --random 100 --batch
+        --model-id v2_small_s0 --random 100
 
     # Unified training engine: parallel oracle labelling, resumable
     # checkpoints (Ctrl-C mid-run, re-run the same command to resume);
@@ -183,23 +183,20 @@ def _build_model(args, problem):
 
 def predict_main(argv: list[str] | None = None) -> int:
     """``repro predict``: one-shot DSE serving from the shell."""
-    from .core import BatchedDSEPredictor, DSEPredictor
+    from .core import BatchedDSEPredictor
     from .experiments.common import get_problem
     from .experiments.harness import render_table
 
     parser = argparse.ArgumentParser(
         prog="repro predict",
-        description="Serve one-shot DSE predictions (optionally batched).")
+        description="Serve one-shot DSE predictions with the batched "
+                    "inference engine.")
     source = parser.add_mutually_exclusive_group(required=True)
     source.add_argument("--input", metavar="FILE",
                         help="workload file: 'M N K [dataflow]' per line "
                              "('-' reads stdin)")
     source.add_argument("--random", type=int, metavar="N",
                         help="sweep N random Table-I workloads instead")
-    parser.add_argument("--batch", action="store_true",
-                        help="use the batched inference engine (vectorised "
-                             "cache-sized tiles) instead of the per-sample "
-                             "loop")
     _add_model_args(parser)
     parser.add_argument("--json", action="store_true",
                         help="emit a JSON document instead of a table")
@@ -247,18 +244,11 @@ def predict_main(argv: list[str] | None = None) -> int:
         inputs = clamped
 
     start = time.perf_counter()
-    if args.batch:
-        pe_idx, l2_idx = BatchedDSEPredictor(model).predict_indices(inputs)
-    else:
-        predictor = DSEPredictor(model)
-        parts = [predictor.predict_indices(row) for row in inputs]
-        pe_idx = np.concatenate([p for p, _ in parts])
-        l2_idx = np.concatenate([l for _, l in parts])
+    pe_idx, l2_idx = BatchedDSEPredictor(model).predict_indices(inputs)
     elapsed = time.perf_counter() - start
     num_pes, l2_kb = problem.space.values(pe_idx, l2_idx)
 
     summary = {"samples": len(inputs),
-               "mode": "batched" if args.batch else "per-sample",
                "elapsed_s": elapsed,
                "samples_per_sec": len(inputs) / max(elapsed, 1e-12)}
     if args.json:
@@ -276,8 +266,7 @@ def predict_main(argv: list[str] | None = None) -> int:
                            rows, title="One-shot DSE predictions"
                            + (" (first 50)" if len(inputs) > 50 else "")))
         print(f"{summary['samples']} samples in {elapsed:.3f}s "
-              f"({summary['samples_per_sec']:.0f} samples/sec, "
-              f"{summary['mode']})")
+              f"({summary['samples_per_sec']:.0f} samples/sec)")
     return 0
 
 

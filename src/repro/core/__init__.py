@@ -7,9 +7,8 @@ one-shot inference metrics, and the model-level deployment pipeline
 """
 
 from .deployment import DeploymentEvaluator, DeploymentResult
-from .inference import (BatchedDSEPredictor, BatchPrediction, DSEPredictor,
-                        PredictionMetrics, evaluate_model,
-                        evaluate_predictions)
+from .inference import (BatchedDSEPredictor, DSEPredictor, PredictionMetrics,
+                        evaluate_model, evaluate_predictions)
 from .model import (HEAD_STYLES, AirchitectDecoder, AirchitectEncoder,
                     AirchitectV2, ModelConfig, PerformanceHead)
 from .stage1 import Stage1Config, Stage1Trainer, contrastive_labels
@@ -20,7 +19,7 @@ __all__ = [
     "PerformanceHead", "HEAD_STYLES",
     "Stage1Config", "Stage1Trainer", "contrastive_labels",
     "Stage2Config", "Stage2Trainer",
-    "DSEPredictor", "BatchedDSEPredictor", "BatchPrediction",
+    "DSEPredictor", "BatchedDSEPredictor",
     "PredictionMetrics", "evaluate_model", "evaluate_predictions",
     "DeploymentEvaluator", "DeploymentResult",
 ]

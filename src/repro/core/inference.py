@@ -11,9 +11,8 @@ path (:meth:`AirchitectV2.predict_indices`):
 * :class:`DSEPredictor` — the simple per-call API;
 * :class:`BatchedDSEPredictor` — the batched engine: one vectorised
   encoder→decoder pass per model tile under ``no_grad``, the tiles of a
-  call spread over one thread per CPU, plus an optional cost-annotated
-  sweep.  Predictions are identical to the per-sample path
-  by construction; only the throughput differs.
+  call spread over one thread per CPU.  Predictions are identical to the
+  per-sample path by construction; only the throughput differs.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from ..obs import current_engine_contexts
 from .model import AirchitectV2
 
 __all__ = ["PredictionMetrics", "evaluate_predictions", "evaluate_model",
-           "DSEPredictor", "BatchedDSEPredictor", "BatchPrediction"]
+           "DSEPredictor", "BatchedDSEPredictor"]
 
 
 @dataclass
@@ -149,30 +148,6 @@ def _tile_pool() -> ThreadPoolExecutor | None:
         return _TILE_POOL
 
 
-@dataclass
-class BatchPrediction:
-    """Result of a batched design-space sweep.
-
-    ``elapsed_s`` covers the whole sweep — prediction *and*, when
-    ``with_cost`` was requested, the oracle cost evaluation —
-    while ``predict_elapsed_s`` isolates the forward-pass phase.
-    ``samples_per_sec`` is derived from the total.
-    """
-
-    inputs: np.ndarray          # (B, 4) the swept input tuples
-    pe_idx: np.ndarray          # (B,) predicted PE-choice index
-    l2_idx: np.ndarray          # (B,) predicted buffer-choice index
-    num_pes: np.ndarray         # (B,) physical PE count
-    l2_kb: np.ndarray           # (B,) physical buffer size (KB)
-    predicted_cost: np.ndarray | None   # (B,) metric at the prediction
-    elapsed_s: float
-    samples_per_sec: float
-    predict_elapsed_s: float = 0.0
-
-    def __len__(self) -> int:
-        return len(self.inputs)
-
-
 class BatchedDSEPredictor:
     """Batched one-shot DSE serving engine.
 
@@ -213,7 +188,6 @@ class BatchedDSEPredictor:
         self.model = model
         self.problem = model.problem
         self.on_batch = on_batch
-        self._default_oracle: ExhaustiveOracle | None = None
 
     # ------------------------------------------------------------------
     def predict_indices(self, inputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -274,33 +248,3 @@ class BatchedDSEPredictor:
         inputs = _build_inputs(self.problem, m, n, k, dataflow)
         pe_idx, l2_idx = self.predict_indices(inputs)
         return self.problem.space.values(pe_idx, l2_idx)
-
-    def sweep(self, inputs: np.ndarray, with_cost: bool = False,
-              oracle: ExhaustiveOracle | None = None) -> BatchPrediction:
-        """Full design-space sweep: predictions, physical configs, timing.
-
-        ``with_cost=True`` also evaluates the optimisation metric at each
-        predicted design point (via the — possibly cached — oracle); that
-        evaluation is part of ``elapsed_s`` (the serving-visible latency),
-        with the forward-pass share reported as ``predict_elapsed_s``.
-        """
-        inputs = np.atleast_2d(np.asarray(inputs))
-        start = time.perf_counter()
-        pe_idx, l2_idx = self.predict_indices(inputs)
-        predict_elapsed = time.perf_counter() - start
-        num_pes, l2_kb = self.problem.space.values(pe_idx, l2_idx)
-        cost = None
-        if with_cost:
-            if oracle is None:
-                # Keep one oracle per engine so its LRU label cache
-                # persists across repeated sweeps.
-                if self._default_oracle is None:
-                    self._default_oracle = ExhaustiveOracle(self.problem)
-                oracle = self._default_oracle
-            cost = oracle.cost_at(inputs, pe_idx, l2_idx)
-        elapsed = time.perf_counter() - start
-        return BatchPrediction(inputs=inputs, pe_idx=pe_idx, l2_idx=l2_idx,
-                               num_pes=num_pes, l2_kb=l2_kb,
-                               predicted_cost=cost, elapsed_s=elapsed,
-                               samples_per_sec=len(inputs) / max(elapsed, 1e-12),
-                               predict_elapsed_s=predict_elapsed)

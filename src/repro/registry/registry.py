@@ -9,25 +9,22 @@ a training fingerprint, and evaluation metrics.  The manifest makes an
 artifact self-describing: :meth:`ModelRegistry.load` rebuilds the module
 from the manifest alone (via the kind's registered builder) and loads the
 weights, so serving and the CLI need only a registry path and a model id.
-
-Loaded models are held in a per-registry LRU (:meth:`ModelRegistry.get`)
-so a multi-model server re-serving the same ids never reloads from disk,
-while rarely-used models age out instead of accumulating.
+The registry keeps no loaded models: each :meth:`ModelRegistry.load`
+builds a fresh instance, and whoever loads one owns it (a served model
+lives exactly as long as its server route).
 
 Pre-registry archives (plain ``save_module`` output with no manifest) are
 *legacy* artifacts: they load bit-identically through
 :meth:`ModelRegistry.load_into` with a caller-built module, they just
-cannot self-describe for :meth:`load`/:meth:`get`.
+cannot self-describe for :meth:`load`.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import threading
 import time
 import zipfile
-from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -155,7 +152,7 @@ class ModelArtifact:
 
 
 class ModelRegistry:
-    """Directory of model artifacts with an in-process LRU of loaded models.
+    """Directory of model artifacts.
 
     Parameters
     ----------
@@ -163,19 +160,11 @@ class ModelRegistry:
         Registry directory (created on demand).  Model ids map to
         ``<root>/<model_id>.npz`` and may contain ``/`` separators for
         grouping (e.g. ``small_s0/model_v2``).
-    max_loaded:
-        LRU capacity of :meth:`get`; least-recently-served models are
-        evicted (their arrays freed) beyond this many.
     """
 
-    def __init__(self, root: str | Path, max_loaded: int = 4):
-        if max_loaded < 1:
-            raise ValueError("max_loaded must be >= 1")
+    def __init__(self, root: str | Path):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.max_loaded = max_loaded
-        self._loaded: OrderedDict[str, object] = OrderedDict()
-        self._lock = threading.RLock()
 
     # ------------------------------------------------------------------
     # Paths and discovery
@@ -206,7 +195,6 @@ class ModelRegistry:
         try:
             manifest = read_manifest(path)
         except CorruptArtifactError as exc:
-            self.invalidate(model_id)
             raise RegistryError(f"artifact {model_id!r} is corrupt and was "
                                 f"quarantined: {exc}") from exc
         return ModelArtifact(model_id=model_id, path=path, manifest=manifest)
@@ -267,7 +255,6 @@ class ModelRegistry:
             manifest.update(extra)
         path = self.path_for(model_id)
         write_artifact(path, model.state_dict(), manifest)
-        self.invalidate(model_id)
         return ModelArtifact(model_id=model_id, path=path, manifest=manifest)
 
     # ------------------------------------------------------------------
@@ -289,8 +276,7 @@ class ModelRegistry:
         Requires a manifested artifact whose ``kind`` has a registered
         builder; ``problem`` defaults to the canonical
         :class:`~repro.dse.DSEProblem`.  The model is returned in eval
-        mode.  Each call builds a fresh instance — use :meth:`get` for
-        the shared LRU-cached one.
+        mode.  Each call builds a fresh instance.
         """
         artifact = self.artifact(model_id)
         if artifact.legacy:
@@ -308,43 +294,13 @@ class ModelRegistry:
         try:
             model.load_state_dict(artifact.load_state())
         except CorruptArtifactError as exc:
-            self.invalidate(model_id)
             raise RegistryError(f"artifact {model_id!r} is corrupt and was "
                                 f"quarantined: {exc}") from exc
         model.eval()
         return model
 
-    def get(self, model_id: str, problem=None):
-        """LRU-cached :meth:`load` (thread-safe; serving's entry point)."""
-        with self._lock:
-            if model_id in self._loaded:
-                self._loaded.move_to_end(model_id)
-                return self._loaded[model_id]
-        model = self.load(model_id, problem=problem)
-        with self._lock:
-            # Another thread may have raced the load; keep the first so
-            # every caller shares one instance per id.
-            if model_id not in self._loaded:
-                self._loaded[model_id] = model
-                while len(self._loaded) > self.max_loaded:
-                    self._loaded.popitem(last=False)
-            else:
-                self._loaded.move_to_end(model_id)
-            return self._loaded[model_id]
-
-    def loaded_ids(self) -> list[str]:
-        """Ids currently resident in the LRU (most recent last)."""
-        with self._lock:
-            return list(self._loaded)
-
-    def invalidate(self, model_id: str) -> None:
-        """Drop a (possibly) cached instance, e.g. after re-saving."""
-        with self._lock:
-            self._loaded.pop(model_id, None)
-
     def delete(self, model_id: str) -> None:
-        """Remove an artifact from disk and the LRU."""
+        """Remove an artifact from disk."""
         path = self.path_for(model_id)
         if path.is_file():
             path.unlink()
-        self.invalidate(model_id)

@@ -12,9 +12,10 @@ concurrent requests into engine batches.
 The server hosts a :class:`~repro.registry.ModelRegistry` rather than a
 single model: every served model is a :class:`ModelRoute` (its own
 engine, batcher queue and :class:`~repro.serving.ServingStats`), created
-eagerly for directly-attached models and lazily — through the registry's
-loaded-model LRU — for registry artifacts the first time a request names
-them.
+eagerly for directly-attached models and lazily for registry artifacts
+the first time a request names them.  A route is the only owner of its
+model: it loads with :meth:`~repro.registry.ModelRegistry.load`, and
+evicting the route drops the model.
 
 Endpoints
 ---------
@@ -67,7 +68,7 @@ and unknown models are ``404``, malformed or non-dict bodies, a
 request lines are ``400``, and a header line over 64 KiB or
 more than 100 headers is ``431`` — never a traceback or a silent
 hang-up.  Tail latency is bounded per route: a full admission queue
-(``max_queue``) answers ``429`` with ``Retry-After``, a request slower
+(``max_queue``) answers ``429`` with ``Retry-After: 1``, a request slower
 than ``request_timeout_s`` answers ``504``, and
 :meth:`DSEServer.shutdown` drains — it stops accepting, lets in-flight
 requests finish, hangs up idle keep-alive connections and answers
@@ -91,6 +92,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
+from contextlib import contextmanager
 from email.utils import formatdate
 from http import HTTPStatus
 
@@ -128,6 +130,8 @@ _DRAIN_TIMEOUT_S = 10.0
 # requests is not bounded: the drain hangs those connections up.
 _READ_TIMEOUT_S = 5.0
 _DRAIN_POLL_S = 0.02
+# The backoff a full admission queue asks of its clients (429).
+_RETRY_AFTER_S = 1.0
 
 
 class _BadRequest(ValueError):
@@ -138,32 +142,14 @@ class _NotFound(ValueError):
     """Unknown route or model: reported as HTTP 404."""
 
 
-class _Backpressure(Exception):
-    """A route's bounded admission queue is full: HTTP 429 + Retry-After."""
+class _Refused(Exception):
+    """A route refused admission: HTTP ``status`` (429 for a full
+    admission queue, 503 for an open circuit breaker) + Retry-After."""
 
-    def __init__(self, route_name: str, max_queue: int, retry_after_s: float):
-        self.route_name = route_name
-        self.max_queue = max_queue
+    def __init__(self, status: int, message: str, retry_after_s: float):
+        self.status = status
         self.retry_after_s = retry_after_s
-        super().__init__(
-            f"route {route_name!r} admission queue is full "
-            f"(max_queue={max_queue}); retry after {retry_after_s:g}s")
-
-    @property
-    def retry_after_header(self) -> str:
-        return str(max(1, -(-int(self.retry_after_s * 1000) // 1000)))
-
-
-class _ServiceUnavailable(Exception):
-    """A route's circuit breaker is open: HTTP 503 + Retry-After."""
-
-    def __init__(self, route_name: str, retry_after_s: float):
-        self.route_name = route_name
-        self.retry_after_s = retry_after_s
-        super().__init__(
-            f"route {route_name!r} is shedding load after repeated engine "
-            f"failures (circuit breaker open); retry after "
-            f"{retry_after_s:g}s")
+        super().__init__(f"{message}; retry after {retry_after_s:g}s")
 
     @property
     def retry_after_header(self) -> str:
@@ -254,9 +240,11 @@ class ModelRoute:
 
     Routes are the unit of multi-model serving: each has its own request
     queue (so one model's burst never stalls another's latency), its own
-    :class:`ServingStats` (read through :meth:`stats_snapshot`), and one
+    :class:`ServingStats` (read through :meth:`stats_snapshot`), one
     engine that serves both the batcher's ``/predict`` passes and
-    ``/sweep`` chunks.
+    ``/sweep`` chunks, and one admission guard (:meth:`admitted`) that
+    both endpoints go through.  The route owns its model: nothing else
+    in the server keeps it.
     """
 
     def __init__(self, name: str, model: AirchitectV2, *,
@@ -325,6 +313,46 @@ class ModelRoute:
         with self._admission_lock:
             self._inflight = max(0, self._inflight - 1)
 
+    @contextmanager
+    def admitted(self):
+        """Admit one request for the body of the ``with``.
+
+        Entry raises :class:`_Refused`: 503 while the circuit breaker is
+        open, 429 once ``max_queue`` requests are in flight.  An admitted
+        request holds its slot until the body exits, and the exit
+        reports exactly one breaker outcome: success, a failure for an
+        exception, and neutral for a client error or a client hang-up
+        (``GeneratorExit``), which can neither trip nor heal the
+        breaker.  A half-open breaker holds its single probe slot until
+        that outcome arrives.
+        """
+        breaker = self.breaker
+        if breaker is not None and not breaker.allow():
+            raise _Refused(503, f"route {self.name!r} is shedding load after "
+                                f"repeated engine failures (circuit breaker "
+                                f"open)", breaker.retry_after_s())
+        if not self.try_admit():
+            if breaker is not None:
+                breaker.record_neutral()
+            raise _Refused(429, f"route {self.name!r} admission queue is "
+                                f"full (max_queue={self.max_queue})",
+                           _RETRY_AFTER_S)
+        try:
+            yield
+        except (_BadRequest, GeneratorExit):
+            if breaker is not None:
+                breaker.record_neutral()
+            raise
+        except BaseException:
+            if breaker is not None:
+                breaker.record_failure()
+            raise
+        else:
+            if breaker is not None:
+                breaker.record_success()
+        finally:
+            self.release()
+
     def start(self) -> None:
         self.batcher.start()
 
@@ -367,8 +395,7 @@ class DSEServer:
     registry:
         A :class:`~repro.registry.ModelRegistry` (or a path to one) whose
         artifacts become servable routes: ``POST /predict`` with
-        ``"model": "<id>"`` loads the artifact on first use through the
-        registry's LRU.
+        ``"model": "<id>"`` loads the artifact on first use.
     model_ids:
         Restrict registry serving to these ids (default: every
         manifested artifact is servable).
@@ -378,30 +405,23 @@ class DSEServer:
         ``model_ids``, else the registry's first artifact.
     max_models:
         Cap on concurrently-active *registry* routes; the
-        least-recently-served one is stopped and evicted beyond this.
-        Directly-attached models are never evicted.
+        least-recently-served one is stopped and evicted beyond this,
+        and its model with it.  Directly-attached models are never
+        evicted.
     max_queue:
         Bounded per-route admission queue: above this many in-flight
         requests (queued or being served) a route answers HTTP 429 with
-        a ``Retry-After`` header instead of queueing unboundedly
-        (default: unbounded, the pre-admission-control behaviour).
-    retry_after_s:
-        The backoff hint sent with 429 responses (default 1s; the
-        ``Retry-After`` header rounds it up to whole seconds).
+        ``Retry-After: 1`` instead of queueing unboundedly (default:
+        unbounded, the pre-admission-control behaviour).
     breaker_threshold / breaker_reset_s:
         Per-route circuit breaker: after ``breaker_threshold``
         consecutive engine failures the route answers 503 (with
         ``Retry-After``) for ``breaker_reset_s`` seconds, then admits a
         single half-open probe.  ``breaker_threshold=None`` disables the
         breaker entirely.
-    tracer:
-        Optional pre-built :class:`~repro.obs.Tracer` shared with the
-        embedding application; one is created per server otherwise.
     trace_file:
-        NDJSON span-sink path for the created tracer (``--trace-file``).
-    enable_tracing:
-        ``False`` turns request tracing off entirely (the overhead
-        benchmark's un-instrumented baseline).
+        NDJSON span-sink path for the server's request
+        :class:`~repro.obs.Tracer` (``--trace-file``).
     """
 
     def __init__(self, model: AirchitectV2 | None = None,
@@ -414,12 +434,9 @@ class DSEServer:
                  default_model: str | None = None,
                  max_models: int | None = None,
                  max_queue: int | None = None,
-                 retry_after_s: float = 1.0,
                  breaker_threshold: int | None = 5,
                  breaker_reset_s: float = 30.0,
-                 tracer: Tracer | None = None,
-                 trace_file: str | None = None,
-                 enable_tracing: bool = True):
+                 trace_file: str | None = None):
         if model is None and registry is None:
             raise ValueError("DSEServer needs a model or a registry")
         if isinstance(registry, (str, bytes)) or hasattr(registry, "__fspath__"):
@@ -432,7 +449,6 @@ class DSEServer:
         self.max_batch_size = max_batch_size
         self.max_models = max_models
         self.max_queue = max_queue
-        self.retry_after_s = retry_after_s
         self.breaker_threshold = breaker_threshold
         self.breaker_reset_s = breaker_reset_s
         self._model_ids = list(model_ids) if model_ids is not None else None
@@ -446,9 +462,7 @@ class DSEServer:
         self.metrics.gauge("repro_routes_active",
                            "Model routes currently loaded.") \
             .labels().set_function(lambda: len(self.routes))
-        if tracer is None and enable_tracing:
-            tracer = Tracer(sink=trace_file)
-        self.tracer = tracer
+        self.tracer = Tracer(sink=trace_file)
         # Routing/transport-level failures (no route to blame them on).
         self._errors = ServingStats(registry=self.metrics,
                                     labels={"model": "_transport"})
@@ -497,32 +511,26 @@ class DSEServer:
         host, port = self.address
         return f"http://{host}:{port}"
 
-    @property
-    def model(self) -> AirchitectV2:
-        """The default route's model (back-compat accessor)."""
-        return self._route(self.default_model).model
-
-    @property
-    def problem(self):
-        return self.model.problem
-
     # ------------------------------------------------------------------
     # Routes
     # ------------------------------------------------------------------
-    def add_model(self, name: str, model: AirchitectV2,
-                  source: str = "direct") -> ModelRoute:
+    def add_model(self, name: str, model: AirchitectV2) -> ModelRoute:
         """Attach a model under ``name`` (started if the server runs)."""
+        with self._route_lock:
+            if name in self.routes:
+                raise ValueError(f"model {name!r} is already served")
+            return self._attach_locked(name, model, "direct")
+
+    def _attach_locked(self, name: str, model, source: str) -> ModelRoute:
+        """Build, register and (if the server runs) start a route."""
         route = ModelRoute(name, model, max_batch_size=self.max_batch_size,
                            source=source, max_queue=self.max_queue,
                            breaker_threshold=self.breaker_threshold,
                            breaker_reset_s=self.breaker_reset_s,
                            registry=self.metrics)
-        with self._route_lock:
-            if name in self.routes:
-                raise ValueError(f"model {name!r} is already served")
-            self.routes[name] = route
-            if self._running:
-                route.start()
+        self.routes[name] = route
+        if self._running:
+            route.start()
         self.log.info("route loaded", extra={"model": name,
                                              "source": source})
         return route
@@ -537,9 +545,9 @@ class DSEServer:
     def _route(self, name: str | None) -> ModelRoute:
         """Resolve a request's model name to an active route.
 
-        Registry-backed models load lazily on first use (through the
-        registry's LRU); over ``max_models`` the least-recently-served
-        registry route is stopped and evicted first.
+        Registry-backed models load lazily on first use; over
+        ``max_models`` the least-recently-served registry route is
+        stopped and evicted, and its model with it.
         """
         name = name or self.default_model
         if not isinstance(name, str):
@@ -558,7 +566,7 @@ class DSEServer:
             raise _NotFound(f"unknown model {name!r}; "
                             f"available: {known}")
         try:
-            loaded = self.registry.get(name)
+            loaded = self.registry.load(name)
         except RegistryError as exc:
             raise _NotFound(f"model {name!r} could not be loaded from the "
                             f"registry: {exc}") from None
@@ -569,24 +577,13 @@ class DSEServer:
                               f"predict_indices are servable")
         evicted: ModelRoute | None = None
         with self._route_lock:
-            if name not in self.routes:     # racing request may have won
-                route = ModelRoute(
-                    name, loaded, max_batch_size=self.max_batch_size,
-                    source="registry", max_queue=self.max_queue,
-                    breaker_threshold=self.breaker_threshold,
-                    breaker_reset_s=self.breaker_reset_s,
-                    registry=self.metrics)
-                self.routes[name] = route
-                if self._running:
-                    route.start()
-                self.log.info("route loaded",
-                              extra={"model": name, "source": "registry"})
+            route = self.routes.get(name)
+            if route is None:   # else a racing first request won: drop ours
+                route = self._attach_locked(name, loaded, "registry")
                 evicted = self._evict_locked(keep=name)
-            route = self.routes[name]
             route.last_served = time.time()
         if evicted is not None:
             evicted.stop()
-            self.registry.invalidate(evicted.name)
             self.log.info("route evicted",
                           extra={"model": evicted.name,
                                  "kept": name,
@@ -627,15 +624,13 @@ class DSEServer:
         return self.metrics.render()
 
     def begin_request_span(self, name: str, header_trace_id: str | None):
-        """Open a front-end span for one request, or ``None`` untraced.
+        """Open a front-end span for one request.
 
         A well-formed incoming ``X-Trace-Id`` header joins the request to
         the caller's existing trace; anything else gets a fresh id.  The
         caller must ``end()`` the span and echo ``span.trace_id`` back in
         the response's ``X-Trace-Id`` header.
         """
-        if self.tracer is None:
-            return None
         trace_id = None
         if header_trace_id and _TRACE_ID_RE.match(header_trace_id.strip()):
             trace_id = header_trace_id.strip().lower()
@@ -647,12 +642,12 @@ class DSEServer:
     def handle_predict(self, doc, trace: SpanContext | None = None) -> dict:
         """Serve one ``/predict`` body through its route's batcher.
 
-        Admission is bounded per route (``max_queue``): a full queue
-        raises :class:`_Backpressure` (HTTP 429 + Retry-After) instead
-        of queueing unboundedly, and every admitted request's service
-        latency lands in the route's p50/p95/p99 histogram.  ``trace``
-        (the front-end span's context) rides into the batcher so the
-        queue wait and forward pass show up as child spans.
+        The request runs inside the route's admission guard
+        (:meth:`ModelRoute.admitted`: 429 for a full queue, 503 for an
+        open breaker), and every admitted request's service latency
+        lands in the route's p50/p95/p99 histogram.  ``trace`` (the
+        front-end span's context) rides into the batcher so the queue
+        wait and forward pass show up as child spans.
         """
         rows = _parse_workloads(doc)
         if not isinstance(doc, dict):
@@ -660,35 +655,13 @@ class DSEServer:
         with_cost = _flag(doc, "with_cost")
         with_oracle = _flag(doc, "with_oracle")
         route = self._route(doc.get("model"))
-        breaker = route.breaker
-        if breaker is not None and not breaker.allow():
-            raise _ServiceUnavailable(route.name, breaker.retry_after_s())
-        # From here on, every exit must report an outcome: a half-open
-        # breaker holds its single probe slot until one arrives.
-        try:
-            if not route.try_admit():
-                raise _Backpressure(route.name, route.max_queue,
-                                    self.retry_after_s)
+        with route.admitted():
             start = time.perf_counter()
             try:
-                result = self._predict_admitted(route, rows, with_cost,
-                                                with_oracle, trace)
+                return self._predict_admitted(route, rows, with_cost,
+                                              with_oracle, trace)
             finally:
-                route.release()
                 route.stats.record_latency(time.perf_counter() - start)
-        except (_BadRequest, _NotFound, _Backpressure):
-            # Client errors are neutral: they release a probe slot but
-            # can neither trip nor heal the breaker.
-            if breaker is not None:
-                breaker.record_neutral()
-            raise
-        except BaseException:
-            if breaker is not None:
-                breaker.record_failure()
-            raise
-        if breaker is not None:
-            breaker.record_success()
-        return result
 
     def _predict_admitted(self, route: ModelRoute, rows, with_cost: bool,
                           with_oracle: bool,
@@ -745,11 +718,13 @@ class DSEServer:
     # /sweep (streaming)
     # ------------------------------------------------------------------
     def prepare_sweep(self, doc):
-        """Validate a ``/sweep`` body and return its chunk generator.
+        """Validate and admit a ``/sweep`` body; returns its header
+        document and the generator of the documents that follow.
 
-        All client errors surface *here*, before the caller commits to a
-        200 streaming response; the generator itself only touches the
-        engine.
+        All client errors and the route's 429/503 surface *here*, before
+        the caller commits to a 200 streaming response; the generator
+        itself only touches the engine.  It holds the route's admission
+        slot until it is exhausted or closed.
         """
         doc = _require_dict(doc, "/sweep")
         route = self._route(doc.get("model"))
@@ -783,72 +758,43 @@ class DSEServer:
             raise _BadRequest(f"'chunk_size' must be in 1..{_MAX_SWEEP_CHUNK}")
         with_cost = _flag(doc, "with_cost")
         # Admit last, after every validation error had its chance to
-        # surface — a rejected body must not leak an admission slot (or
-        # claim a half-open breaker's probe slot).
-        breaker = route.breaker
-        if breaker is not None and not breaker.allow():
-            raise _ServiceUnavailable(route.name, breaker.retry_after_s())
-        if not route.try_admit():
-            if breaker is not None:
-                breaker.record_neutral()
-            raise _Backpressure(route.name, route.max_queue,
-                                self.retry_after_s)
-        return self._released_after(
-            route, self._iter_sweep(route, inputs, chunk_size, with_cost))
-
-    @staticmethod
-    def _released_after(route: ModelRoute, chunks):
-        """Hold the route's admission slot (and breaker outcome) for the
-        generator's lifetime: completion is an engine success, a
-        mid-stream exception an engine failure, and a client hang-up
-        (generator closed early) neutral."""
-        breaker = route.breaker
-        try:
-            yield from chunks
-        except GeneratorExit:
-            if breaker is not None:
-                breaker.record_neutral()
-            raise
-        except BaseException:
-            if breaker is not None:
-                breaker.record_failure()
-            raise
-        else:
-            if breaker is not None:
-                breaker.record_success()
-        finally:
-            route.release()
+        # surface: the first next() enters the route's guard.
+        docs = self._iter_sweep(route, inputs, chunk_size, with_cost)
+        return next(docs), docs
 
     def _iter_sweep(self, route: ModelRoute, inputs: np.ndarray,
                     chunk_size: int, with_cost: bool):
-        """Yield the header, one doc per computed chunk, and a summary."""
+        """Yield the header, one doc per computed chunk, and a summary,
+        all inside the route's admission guard."""
         total = len(inputs)
         chunks = -(-total // chunk_size)
-        yield {"model": route.name, "count": total, "chunk_size": chunk_size,
-               "chunks": chunks, "with_cost": with_cost}
-        oracle = self._ensure_oracle(route.problem) if with_cost else None
-        start = time.perf_counter()
-        for index, lo in enumerate(range(0, total, chunk_size)):
-            chunk = inputs[lo:lo + chunk_size]
-            pe_idx, l2_idx = route.engine.predict_indices(chunk)
-            num_pes, l2_kb = route.problem.space.values(pe_idx, l2_idx)
-            predictions = [
-                {"m": int(r[0]), "n": int(r[1]), "k": int(r[2]),
-                 "dataflow": int(r[3]), "pe_idx": int(pe_idx[i]),
-                 "l2_idx": int(l2_idx[i]), "num_pes": int(num_pes[i]),
-                 "l2_kb": int(l2_kb[i])}
-                for i, r in enumerate(chunk)]
-            if with_cost:
-                costs = oracle.cost_at(chunk, pe_idx, l2_idx)
-                for pred, cost in zip(predictions, costs):
-                    pred["predicted_cost"] = float(cost)
-            yield {"chunk": index, "start": lo, "count": len(chunk),
-                   "predictions": predictions}
-        elapsed = time.perf_counter() - start
-        route.stats.record_sweep(total, chunks)
-        yield {"done": True, "model": route.name, "count": total,
-               "chunks": chunks, "elapsed_s": elapsed,
-               "samples_per_sec": total / max(elapsed, 1e-12)}
+        with route.admitted():
+            yield {"model": route.name, "count": total,
+                   "chunk_size": chunk_size, "chunks": chunks,
+                   "with_cost": with_cost}
+            oracle = self._ensure_oracle(route.problem) if with_cost else None
+            start = time.perf_counter()
+            for index, lo in enumerate(range(0, total, chunk_size)):
+                chunk = inputs[lo:lo + chunk_size]
+                pe_idx, l2_idx = route.engine.predict_indices(chunk)
+                num_pes, l2_kb = route.problem.space.values(pe_idx, l2_idx)
+                predictions = [
+                    {"m": int(r[0]), "n": int(r[1]), "k": int(r[2]),
+                     "dataflow": int(r[3]), "pe_idx": int(pe_idx[i]),
+                     "l2_idx": int(l2_idx[i]), "num_pes": int(num_pes[i]),
+                     "l2_kb": int(l2_kb[i])}
+                    for i, r in enumerate(chunk)]
+                if with_cost:
+                    costs = oracle.cost_at(chunk, pe_idx, l2_idx)
+                    for pred, cost in zip(predictions, costs):
+                        pred["predicted_cost"] = float(cost)
+                yield {"chunk": index, "start": lo, "count": len(chunk),
+                       "predictions": predictions}
+            elapsed = time.perf_counter() - start
+            route.stats.record_sweep(total, chunks)
+            yield {"done": True, "model": route.name, "count": total,
+                   "chunks": chunks, "elapsed_s": elapsed,
+                   "samples_per_sec": total / max(elapsed, 1e-12)}
 
     # ------------------------------------------------------------------
     # /stats and /models
@@ -946,8 +892,7 @@ class DSEServer:
             routes = list(self.routes.values())
         for route in routes:
             route.stop()
-        if self.tracer is not None:
-            self.tracer.close()
+        self.tracer.close()
         self.log.info("server stopped",
                       extra={"routes": [r.name for r in routes]})
 
@@ -1159,8 +1104,7 @@ class DSEServer:
                     "error": f"unknown route {method} {path!r}"})
             span = self.begin_request_span(f"http.{path[1:]}",
                                            headers.get("x-trace-id"))
-            if span is not None:
-                trace_headers.append(("X-Trace-Id", span.trace_id))
+            trace_headers.append(("X-Trace-Id", span.trace_id))
             doc = await self._read_json_body(reader, writer, headers)
             if self._draining:
                 return await self._send(writer, 503, {
@@ -1172,7 +1116,7 @@ class DSEServer:
                 # for blocking work outside a future (oracle, engine).
                 # self.handle_predict is looked up per request, so a
                 # wrapper installed on the class sees every call.
-                trace = span.context if span is not None else None
+                trace = span.context
                 result = await asyncio.wait_for(
                     loop.run_in_executor(
                         None, lambda: self.handle_predict(doc, trace=trace)),
@@ -1186,13 +1130,9 @@ class DSEServer:
         except _NotFound as exc:
             return await self._send(writer, 404, {"error": str(exc)},
                                     trace_headers)
-        except _Backpressure as exc:
+        except _Refused as exc:
             return await self._send(
-                writer, 429, {"error": str(exc)},
-                [("Retry-After", exc.retry_after_header)] + trace_headers)
-        except _ServiceUnavailable as exc:
-            return await self._send(
-                writer, 503, {"error": str(exc)},
+                writer, exc.status, {"error": str(exc)},
                 [("Retry-After", exc.retry_after_header)] + trace_headers)
         except _RequestTimeout as exc:
             self.record_error()
@@ -1229,7 +1169,7 @@ class DSEServer:
         hang-up closes the generator, which releases the admission slot.
         """
         loop = asyncio.get_running_loop()
-        chunks = await asyncio.wait_for(
+        item, chunks = await asyncio.wait_for(
             loop.run_in_executor(None, self.prepare_sweep, doc),
             self.request_timeout_s + 1.0)
         writer.write(_head(200, [("Content-Type", "application/x-ndjson"),
@@ -1237,14 +1177,12 @@ class DSEServer:
                                  *trace_headers]))
         sentinel = object()
         try:
-            while True:
+            while item is not sentinel:
+                self._write_chunk(writer, item)
+                await writer.drain()
                 item = await asyncio.wait_for(
                     loop.run_in_executor(None, next, chunks, sentinel),
                     self.request_timeout_s + 1.0)
-                if item is sentinel:
-                    break
-                self._write_chunk(writer, item)
-                await writer.drain()
             writer.write(b"0\r\n\r\n")
             await writer.drain()
             return not self._draining

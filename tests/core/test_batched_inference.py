@@ -19,6 +19,7 @@ from repro.core import (AirchitectV2, BatchedDSEPredictor, DSEPredictor,
                         ModelConfig, evaluate_model, evaluate_predictions)
 from repro.core.inference import _tile_pool
 from repro.core.model import TILE_BYTES
+from repro.serving import DSEServer
 
 
 def _model(problem, seed: int, head_style: str = "uov") -> AirchitectV2:
@@ -81,24 +82,29 @@ class TestParityWithPerSamplePredictor:
 
 
 class TestSweepAPI:
-    def test_sweep_shapes_and_throughput(self, problem, small_dataset):
-        engine = BatchedDSEPredictor(_model(problem, 5))
-        result = engine.sweep(small_dataset.inputs[:100])
-        assert len(result) == 100
-        assert result.num_pes.shape == (100,)
-        assert np.isin(result.num_pes, problem.space.pe_choices).all()
-        assert np.isin(result.l2_kb, problem.space.l2_choices).all()
-        assert result.predicted_cost is None
-        assert result.samples_per_sec > 0
-
     def test_sweep_with_cost_matches_oracle_cost_at(self, problem,
                                                     small_dataset, oracle):
-        engine = BatchedDSEPredictor(_model(problem, 5))
+        """A sweep with ``with_cost`` prices the engine's picks exactly as
+        ``oracle.cost_at`` does."""
+        model = _model(problem, 5)
         inputs = small_dataset.inputs[:50]
-        result = engine.sweep(inputs, with_cost=True, oracle=oracle)
-        expected = oracle.cost_at(inputs, result.pe_idx, result.l2_idx)
-        np.testing.assert_allclose(result.predicted_cost, expected, rtol=1e-12)
+        body = {"workloads": [{"m": int(r[0]), "n": int(r[1]),
+                               "k": int(r[2]), "dataflow": int(r[3])}
+                              for r in inputs],
+                "chunk_size": 16, "with_cost": True}
+        with DSEServer(model, port=0, oracle=oracle) as srv:
+            header, docs = srv.prepare_sweep(body)
+            served = [p for doc in docs for p in doc.get("predictions", [])]
+        assert header["with_cost"] and len(served) == 50
+        pe_idx, l2_idx = BatchedDSEPredictor(model).predict_indices(inputs)
+        assert [p["pe_idx"] for p in served] == pe_idx.tolist()
+        assert [p["l2_idx"] for p in served] == l2_idx.tolist()
+        np.testing.assert_allclose(
+            [p["predicted_cost"] for p in served],
+            oracle.cost_at(inputs, pe_idx, l2_idx), rtol=1e-12)
 
+
+class TestTileRows:
     def test_tile_rows_fit_the_byte_budget(self, problem):
         """Tiles are sized by bytes: the widest per-row activation (FFN
         hidden over 4 tokens, or the 768-way joint head) times the tile
@@ -107,21 +113,6 @@ class TestSweepAPI:
             model = _model(problem, 0, head_style=style)
             assert model.tile_rows * widest * 8 <= TILE_BYTES
             assert (model.tile_rows + 1) * widest * 8 > TILE_BYTES
-
-    def test_elapsed_includes_cost_phase(self, problem, small_dataset,
-                                         oracle):
-        """elapsed_s covers predict + oracle cost; predict_elapsed_s is
-        the forward-pass share only."""
-        engine = BatchedDSEPredictor(_model(problem, 5))
-        inputs = small_dataset.inputs[:80]
-        oracle.cache_clear()
-        result = engine.sweep(inputs, with_cost=True, oracle=oracle)
-        assert result.elapsed_s > result.predict_elapsed_s > 0
-        assert result.samples_per_sec == pytest.approx(
-            len(inputs) / result.elapsed_s, rel=1e-6)
-
-        without = engine.sweep(inputs)
-        assert without.elapsed_s >= without.predict_elapsed_s > 0
 
 
 class TestOnBatchHook:

@@ -218,7 +218,6 @@ class TestRegistryQuarantine:
     def test_corrupt_artifact_raises_registry_error(self, problem, tmp_path):
         registry = self._registry_with_model(problem, tmp_path)
         path = registry.artifact("m1").path
-        registry.invalidate("m1")
         _truncate(path, keep_fraction=0.3)
         with pytest.raises(RegistryError, match="corrupt"):
             registry.load("m1")
@@ -227,6 +226,5 @@ class TestRegistryQuarantine:
     def test_list_skips_corrupt_artifacts(self, problem, tmp_path):
         registry = self._registry_with_model(problem, tmp_path)
         path = registry.artifact("m1").path
-        registry.invalidate("m1")
         _truncate(path, keep_fraction=0.3)
         assert [a.model_id for a in registry.list()] == []

@@ -99,10 +99,23 @@ class TestArtifacts:
 
     def test_delete(self, registry, problem):
         registry.save(_v2(problem), "gone")
-        registry.get("gone", problem=problem)
         registry.delete("gone")
         assert not registry.has("gone")
-        assert registry.loaded_ids() == []
+
+    def test_load_builds_a_fresh_instance_each_call(self, registry,
+                                                    problem):
+        """The registry keeps no loaded models: each caller owns its
+        instance, and a re-save is seen by the next load."""
+        registry.save(_v2(problem, 1), "hot")
+        first = registry.load("hot", problem=problem)
+        assert registry.load("hot", problem=problem) is not first
+        registry.save(_v2(problem, 2), "hot")
+        _assert_same_state(_v2(problem, 2),
+                           registry.load("hot", problem=problem))
+
+    def test_read_state_strips_manifest(self, registry, problem):
+        artifact = registry.save(_v2(problem), "stripped")
+        assert MANIFEST_KEY not in read_state(artifact.path)
 
     def test_v1_baseline_round_trips_through_builder(self, registry, problem):
         config = V1Config(hidden_dims=(16, 16), epochs=1)
@@ -155,34 +168,6 @@ class TestLegacyCompat:
         (registry.root / "corrupt.npz").write_bytes(b"PK\x03\x04garbage")
         (registry.root / "not-a-zip.npz").write_bytes(b"hello")
         assert registry.ids() == ["good"]
-
-
-class TestLoadedLRU:
-    def test_get_returns_one_shared_instance(self, registry, problem):
-        registry.save(_v2(problem), "shared")
-        first = registry.get("shared", problem=problem)
-        assert registry.get("shared", problem=problem) is first
-
-    def test_lru_evicts_least_recently_served(self, tmp_path, problem):
-        registry = ModelRegistry(tmp_path, max_loaded=2)
-        for i, name in enumerate(["a", "b", "c"]):
-            registry.save(_v2(problem, i), name)
-        registry.get("a", problem=problem)
-        registry.get("b", problem=problem)
-        registry.get("a", problem=problem)     # refresh a; b is now stalest
-        registry.get("c", problem=problem)
-        assert registry.loaded_ids() == ["a", "c"]
-
-    def test_resave_invalidates_cached_instance(self, registry, problem):
-        registry.save(_v2(problem, 1), "hot")
-        stale = registry.get("hot", problem=problem)
-        registry.save(_v2(problem, 2), "hot")
-        fresh = registry.get("hot", problem=problem)
-        assert fresh is not stale
-
-    def test_read_state_strips_manifest(self, registry, problem):
-        artifact = registry.save(_v2(problem), "stripped")
-        assert MANIFEST_KEY not in read_state(artifact.path)
 
 
 class TestCheckpointerRegistration:

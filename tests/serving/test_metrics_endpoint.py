@@ -228,14 +228,6 @@ class TestTracing:
             echoed = resp.headers["X-Trace-Id"]
         assert echoed and echoed != "not hex!"
 
-    def test_tracing_disabled_omits_header(self, serve_model):
-        srv = DSEServer(serve_model, port=0, max_batch_size=16,
-                        enable_tracing=False)
-        with srv:
-            _, headers, _ = _post(srv, "/predict", {"m": 8, "n": 8, "k": 8})
-        assert "X-Trace-Id" not in headers
-        assert srv.tracer is None
-
     def test_trace_file_sink_receives_spans(self, serve_model, tmp_path):
         path = tmp_path / "spans.ndjson"
         srv = DSEServer(serve_model, port=0, max_batch_size=16,

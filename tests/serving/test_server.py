@@ -4,6 +4,7 @@ malformed HTTP, client hang-ups and graceful drain."""
 
 from __future__ import annotations
 
+import gc
 import http.client
 import json
 import socket
@@ -11,6 +12,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+import weakref
 
 import numpy as np
 import pytest
@@ -422,6 +424,59 @@ class TestRegistryServing:
                                 {"m": 8, "n": 8, "k": 8, "model": "alpha"})
             assert status == 200 and doc["model"] == "alpha"
 
+    def test_evicted_route_releases_its_model(self, registry):
+        """The route is the model's only owner: once evicted, nothing
+        keeps the model alive."""
+        with DSEServer(registry=registry, port=0, default_model="alpha",
+                       max_models=1) as srv:
+            assert _post(srv, "/predict",
+                         {"m": 8, "n": 8, "k": 8, "model": "alpha"})[0] == 200
+            with srv._route_lock:
+                alpha = weakref.ref(srv.routes["alpha"].model)
+            assert _post(srv, "/predict",
+                         {"m": 8, "n": 8, "k": 8, "model": "beta"})[0] == 200
+            gc.collect()
+            assert alpha() is None
+
+    def test_concurrent_first_requests_end_with_one_route(self, registry,
+                                                          problem):
+        """Two first requests for one artifact both load it; one route
+        survives and both answers are identical."""
+        inputs = problem.sample_inputs(12, np.random.default_rng(4))
+        body = {"model": "beta",
+                "workloads": [{"m": int(r[0]), "n": int(r[1]),
+                               "k": int(r[2]), "dataflow": int(r[3])}
+                              for r in inputs]}
+        both_loading = threading.Barrier(2)
+        real_load = registry.load
+
+        def load(model_id, problem=None):
+            both_loading.wait(10)       # neither attaches before both load
+            return real_load(model_id, problem)
+
+        registry.load = load
+        results = [None, None]
+
+        def client(i):
+            results[i] = _post(srv, "/predict", body)
+
+        with DSEServer(registry=registry, port=0,
+                       default_model="alpha") as srv:
+            threads = [threading.Thread(target=client, args=(i,))
+                       for i in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(30)
+            with srv._route_lock:
+                assert list(srv.routes) == ["beta"]
+                route = srv.routes["beta"]
+            assert route.stats.snapshot()["requests_total"] == 24
+        assert [status for status, _ in results] == [200, 200]
+        first, second = ([(p["pe_idx"], p["l2_idx"])
+                          for p in doc["predictions"]] for _, doc in results)
+        assert first == second
+
     def test_with_cost_does_not_evict_the_serving_route(self, registry):
         """The lazy oracle must come from the *requesting* route's problem;
         going through the default route would evict the live one under
@@ -462,7 +517,7 @@ class TestSweepStreaming:
 
     def test_sweep_matches_predictor_and_reports_summary(self, server,
                                                          serve_model,
-                                                         problem):
+                                                         problem, oracle):
         inputs = problem.sample_inputs(250, np.random.default_rng(3))
         workloads = [{"m": int(r[0]), "n": int(r[1]), "k": int(r[2]),
                       "dataflow": int(r[3])} for r in inputs]
@@ -478,7 +533,9 @@ class TestSweepStreaming:
         pe_ref, l2_ref = DSEPredictor(serve_model).predict_indices(inputs)
         assert [p["pe_idx"] for p in served] == pe_ref.tolist()
         assert [p["l2_idx"] for p in served] == l2_ref.tolist()
-        assert all(p["predicted_cost"] > 0 for p in served)
+        np.testing.assert_allclose(
+            [p["predicted_cost"] for p in served],
+            oracle.cost_at(inputs, pe_ref, l2_ref), rtol=1e-12)
         assert summary["done"] and summary["samples_per_sec"] > 0
         _, stats = _get(server, "/stats")
         assert stats["sweeps_total"] == 1
@@ -730,7 +787,7 @@ class _Gate:
 class TestBackpressure:
     def test_saturated_route_answers_429_with_retry_after(self, serve_model):
         srv = DSEServer(serve_model, port=0, max_batch_size=4,
-                        max_queue=1, retry_after_s=2.0)
+                        max_queue=1)
         gate = _Gate(srv._route(None))
         with srv:
             try:
@@ -756,7 +813,7 @@ class TestBackpressure:
                                  json.dumps({"m": 8, "n": 8, "k": 8}))
                     resp = conn.getresponse()
                     assert resp.status == 429
-                    assert resp.getheader("Retry-After") == "2"
+                    assert resp.getheader("Retry-After") == "1"
                     resp.read()
                 finally:
                     conn.close()
@@ -768,6 +825,36 @@ class TestBackpressure:
                              {"m": 8, "n": 8, "k": 8})[0] == 200
             finally:
                 gate.restore()
+
+    @pytest.mark.parametrize("path", ["/predict", "/sweep"])
+    def test_open_breaker_answers_503_with_retry_after(self, serve_model,
+                                                       path):
+        """/predict and /sweep share one admission guard: once an engine
+        failure opens the breaker, both answer 503 + Retry-After."""
+        srv = DSEServer(serve_model, port=0, max_batch_size=4,
+                        breaker_threshold=1, breaker_reset_s=1.0)
+        route = srv._route(None)
+
+        def broken(inputs):
+            raise RuntimeError("engine down")
+
+        route.engine.predict_indices = broken
+        with srv:
+            assert _post(srv, "/predict", {"m": 8, "n": 8, "k": 8})[0] == 500
+            assert route.breaker.state == "open"
+            host, port = srv.address
+            conn = http.client.HTTPConnection(host, port, timeout=10)
+            try:
+                conn.request("POST", path, json.dumps(
+                    {"workloads": [{"m": 8, "n": 8, "k": 8}]}))
+                resp = conn.getresponse()
+                assert resp.status == 503
+                assert resp.getheader("Retry-After") == "1"
+                error = json.loads(resp.read())["error"]
+                assert "circuit breaker open" in error
+            finally:
+                conn.close()
+        assert route.inflight == 0
 
     def test_rejected_requests_never_reach_the_batcher(self, serve_model):
         srv = DSEServer(serve_model, port=0, max_batch_size=4,

@@ -1,4 +1,4 @@
-"""CLI: the `repro predict` serving entry point (batched and per-sample)."""
+"""CLI: the `repro predict` serving entry point."""
 
 from __future__ import annotations
 
@@ -11,29 +11,19 @@ from repro.cli import main
 
 class TestPredictCommand:
     def test_batched_random_sweep_json(self, capsys):
-        code = main(["predict", "--untrained", "--random", "12", "--batch",
+        code = main(["predict", "--untrained", "--random", "12",
                      "--scale", "tiny", "--json", "--seed", "3"])
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["samples"] == 12
-        assert doc["mode"] == "batched"
         assert len(doc["predictions"]) == 12
         assert all(p["num_pes"] % 8 == 0 for p in doc["predictions"])
-
-    def test_batched_equals_per_sample_loop(self, capsys):
-        args = ["predict", "--untrained", "--random", "10", "--scale", "tiny",
-                "--json", "--seed", "5"]
-        main(args + ["--batch"])
-        batched = json.loads(capsys.readouterr().out)["predictions"]
-        main(args)
-        loop = json.loads(capsys.readouterr().out)["predictions"]
-        assert batched == loop
 
     def test_input_file_and_table_output(self, tmp_path, capsys):
         wl = tmp_path / "layers.txt"
         wl.write_text("# M N K dataflow\n64 512 256 1\n8,8,8\n")
         code = main(["predict", "--untrained", "--input", str(wl),
-                     "--batch", "--scale", "tiny"])
+                     "--scale", "tiny"])
         assert code == 0
         out = capsys.readouterr().out
         assert "num_pes" in out
@@ -91,7 +81,7 @@ class TestPredictCommand:
         wl = tmp_path / "big.txt"
         wl.write_text("999999 999999 999999 2\n")
         code = main(["predict", "--untrained", "--input", str(wl),
-                     "--batch", "--scale", "tiny", "--json"])
+                     "--scale", "tiny", "--json"])
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         pred = doc["predictions"][0]
@@ -217,7 +207,7 @@ class TestRegistryFlow:
         assert artifact.metrics["accuracy"] == doc["accuracy"]
 
         code = main(["predict", "--registry", str(registry_dir),
-                     "--model-id", "demo", "--random", "8", "--batch",
+                     "--model-id", "demo", "--random", "8",
                      "--json", "--seed", "2"])
         assert code == 0
         served = json.loads(capsys.readouterr().out)
@@ -226,7 +216,7 @@ class TestRegistryFlow:
         # The registry-loaded model predicts bit-identically to the
         # workspace-cached one the training run left behind.
         code = main(["predict", "--cache", str(tmp_path / "cache"),
-                     "--scale", "tiny", "--random", "8", "--batch",
+                     "--scale", "tiny", "--random", "8",
                      "--json", "--seed", "2"])
         assert code == 0
         cached = json.loads(capsys.readouterr().out)
@@ -258,7 +248,7 @@ class TestRegistryFlow:
                       np.random.default_rng(0))
         ModelRegistry(tmp_path).save(model, "vaesa")
         code = main(["predict", "--registry", str(tmp_path),
-                     "--model-id", "vaesa", "--random", "4", "--batch"])
+                     "--model-id", "vaesa", "--random", "4"])
         assert code == 2
         err = capsys.readouterr().err
         assert "no one-shot inference path" in err
