@@ -5,7 +5,9 @@ representations: an encoder-decoder transformer with contrastive stage-1
 training and Unified-Ordinal-Vector output heads, plus every substrate the
 paper depends on (MAESTRO-style cost model, Scale-Sim systolic model,
 ConfuciuX/GAMMA/BO search, GANDSE/VAESA/AIRCHITECT-v1 baselines, a
-105-model workload zoo) — all in pure numpy.
+105-model workload zoo) — all in numpy.  scipy serves BO
+(:mod:`repro.search.bo`) only and loads on the first GP fit, so importing
+the package, serving and the paper pipeline never import it.
 
 Quickstart::
 

@@ -11,6 +11,10 @@ Used three ways in the reproduction:
 Standard machinery: RBF-kernel GP posterior (Cholesky solves via scipy)
 and Expected Improvement acquisition maximised over a random candidate
 pool — adequate for the low-dimensional (2-8 D) spaces involved.
+
+BO is the package's only scipy user, so scipy is imported inside the
+functions that call it and loads on the first GP fit: importing
+:mod:`repro`, serving and the paper pipeline skip its ~1 s import.
 """
 
 from __future__ import annotations
@@ -19,8 +23,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import linalg
-from scipy.stats import norm
 
 __all__ = ["BOConfig", "GaussianProcess", "expected_improvement",
            "bayesian_optimization", "BOResult"]
@@ -69,6 +71,8 @@ class GaussianProcess:
         return self.signal_var * np.exp(-0.5 * sq / self.length_scale ** 2)
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "GaussianProcess":
+        from scipy import linalg
+
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         y = np.asarray(y, dtype=np.float64).reshape(-1)
         self._y_mean = float(y.mean())
@@ -82,6 +86,8 @@ class GaussianProcess:
 
     def predict(self, xq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean and standard deviation (de-standardised)."""
+        from scipy import linalg
+
         if self._x is None:
             raise RuntimeError("GP must be fit before predicting")
         xq = np.atleast_2d(np.asarray(xq, dtype=np.float64))
@@ -96,6 +102,8 @@ class GaussianProcess:
 def expected_improvement(mu: np.ndarray, std: np.ndarray, best: float,
                          xi: float = 0.01) -> np.ndarray:
     """EI for *minimisation*: E[max(best - f - xi, 0)]."""
+    from scipy.stats import norm
+
     gap = best - mu - xi
     z = gap / std
     return gap * norm.cdf(z) + std * norm.pdf(z)

@@ -473,6 +473,7 @@ class DSEServer:
             armed.attach_metrics(self.metrics)
         self.routes: dict[str, ModelRoute] = {}
         self._route_lock = threading.RLock()
+        self._load_lock = threading.Lock()     # held by registry loads
         self._running = False
 
         if model is not None:
@@ -565,23 +566,29 @@ class DSEServer:
                                | set(self._model_ids or self.registry.ids()))
             raise _NotFound(f"unknown model {name!r}; "
                             f"available: {known}")
-        try:
-            loaded = self.registry.load(name)
-        except RegistryError as exc:
-            raise _NotFound(f"model {name!r} could not be loaded from the "
-                            f"registry: {exc}") from None
-        if not hasattr(loaded, "predict_indices"):
-            raise _BadRequest(f"model {name!r} (kind "
-                              f"{self.registry.artifact(name).kind!r}) has "
-                              f"no one-shot inference path; only models with "
-                              f"predict_indices are servable")
-        evicted: ModelRoute | None = None
-        with self._route_lock:
-            route = self.routes.get(name)
-            if route is None:   # else a racing first request won: drop ours
+        # One load at a time: a burst of first requests loads the
+        # artifact once, and the rest find its route on the re-check.
+        with self._load_lock:
+            with self._route_lock:
+                route = self.routes.get(name)
+                if route is not None:
+                    route.last_served = time.time()
+                    return route
+            try:
+                loaded = self.registry.load(name)
+            except RegistryError as exc:
+                raise _NotFound(f"model {name!r} could not be loaded from "
+                                f"the registry: {exc}") from None
+            if not hasattr(loaded, "predict_indices"):
+                raise _BadRequest(f"model {name!r} (kind "
+                                  f"{self.registry.artifact(name).kind!r}) "
+                                  f"has no one-shot inference path; only "
+                                  f"models with predict_indices are "
+                                  f"servable")
+            with self._route_lock:
                 route = self._attach_locked(name, loaded, "registry")
                 evicted = self._evict_locked(keep=name)
-            route.last_served = time.time()
+                route.last_served = time.time()
         if evicted is not None:
             evicted.stop()
             self.log.info("route evicted",

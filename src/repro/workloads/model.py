@@ -34,17 +34,25 @@ class ModelWorkload:
 
     @classmethod
     def from_layers(cls, name: str, layers: list[GemmWorkload],
-                    family: str = "") -> "ModelWorkload":
-        """Build from a flat layer list, merging identical shapes."""
+                    family: str = "",
+                    counts: list[int] | None = None) -> "ModelWorkload":
+        """Build from a layer list, merging identical shapes.
+
+        ``counts`` (default: 1 each) gives every entry's multiplicity, so
+        a block repeated ``n`` times can be passed once with count ``n``.
+        A merged shape keeps its first entry's layer (and name).
+        """
+        if counts is None:
+            counts = [1] * len(layers)
         merged: dict[tuple[int, int, int], tuple[GemmWorkload, int]] = {}
         order: list[tuple[int, int, int]] = []
-        for layer in layers:
+        for layer, times in zip(layers, counts, strict=True):
             key = (layer.m, layer.n, layer.k)
             if key in merged:
                 existing, count = merged[key]
-                merged[key] = (existing, count + 1)
+                merged[key] = (existing, count + times)
             else:
-                merged[key] = (layer, 1)
+                merged[key] = (layer, times)
                 order.append(key)
         kept = [merged[key] for key in order]
         return cls(name=name,

@@ -50,13 +50,17 @@ def transformer_encoder(name: str, seq: int, d_model: int, n_heads: int,
                         kv_heads: int | None = None,
                         gated_ffn: bool = False,
                         extra: list[GemmWorkload] | None = None) -> ModelWorkload:
-    """Generic stack of identical transformer blocks plus optional extras."""
-    layers: list[GemmWorkload] = list(extra or [])
-    for i in range(n_layers):
-        layers.extend(_block_layers(seq, d_model, n_heads, d_ff,
-                                    kv_heads=kv_heads, gated_ffn=gated_ffn,
-                                    tag=f"layer{i}"))
-    return ModelWorkload.from_layers(name, layers, family=family)
+    """Generic stack of identical transformer blocks plus optional extras.
+
+    One block (tagged ``layer0``) is built and counted ``n_layers`` times,
+    which merges to the same layers, names and counts as every block.
+    """
+    extras = list(extra or [])
+    block = _block_layers(seq, d_model, n_heads, d_ff, kv_heads=kv_heads,
+                          gated_ffn=gated_ffn, tag="layer0")
+    return ModelWorkload.from_layers(
+        name, extras + block, family=family,
+        counts=[1] * len(extras) + [n_layers] * len(block))
 
 
 # ----------------------------------------------------------------------

@@ -440,18 +440,19 @@ class TestRegistryServing:
 
     def test_concurrent_first_requests_end_with_one_route(self, registry,
                                                           problem):
-        """Two first requests for one artifact both load it; one route
-        survives and both answers are identical."""
+        """Two first requests for one artifact both miss the route; it is
+        loaded once, one route serves both, and both answers are
+        identical."""
         inputs = problem.sample_inputs(12, np.random.default_rng(4))
         body = {"model": "beta",
                 "workloads": [{"m": int(r[0]), "n": int(r[1]),
                                "k": int(r[2]), "dataflow": int(r[3])}
                               for r in inputs]}
-        both_loading = threading.Barrier(2)
+        loads = []
         real_load = registry.load
 
         def load(model_id, problem=None):
-            both_loading.wait(10)       # neither attaches before both load
+            loads.append(model_id)
             return real_load(model_id, problem)
 
         registry.load = load
@@ -462,6 +463,14 @@ class TestRegistryServing:
 
         with DSEServer(registry=registry, port=0,
                        default_model="alpha") as srv:
+            both_missed = threading.Barrier(2)
+            servable = srv._servable_from_registry
+
+            def servable_after_both_missed(name):
+                both_missed.wait(10)    # neither loads before both miss
+                return servable(name)
+
+            srv._servable_from_registry = servable_after_both_missed
             threads = [threading.Thread(target=client, args=(i,))
                        for i in range(2)]
             for t in threads:
@@ -472,6 +481,7 @@ class TestRegistryServing:
                 assert list(srv.routes) == ["beta"]
                 route = srv.routes["beta"]
             assert route.stats.snapshot()["requests_total"] == 24
+        assert loads == ["beta"]
         assert [status for status, _ in results] == [200, 200]
         first, second = ([(p["pe_idx"], p["l2_idx"])
                           for p in doc["predictions"]] for _, doc in results)

@@ -42,6 +42,15 @@ class TestModelWorkload:
         assert model.num_layers == 4
         assert model.counts == (3, 1)
 
+    def test_entry_counts_add_up_and_first_name_wins(self):
+        layers = [GemmWorkload(8, 8, 8, "a"), GemmWorkload(4, 4, 4),
+                  GemmWorkload(8, 8, 8, "b")]
+        model = ModelWorkload.from_layers("m", layers, counts=[2, 1, 3])
+        assert model.layers == (layers[0], layers[1])
+        assert model.counts == (5, 1)
+        with pytest.raises(ValueError):
+            ModelWorkload.from_layers("m", layers, counts=[1, 1])
+
     def test_total_macs(self):
         layers = [GemmWorkload(2, 2, 2)] * 2
         model = ModelWorkload.from_layers("m", layers)
