@@ -1,5 +1,5 @@
 """Stage-2 train-step throughput: the fused path vs the frozen op-by-op
-reference, plus the train-phase profiling overhead gate.
+reference.
 
 The acceptance gate of the fused compute path: a full stage-2 decoder
 fit (default ``ModelConfig``/``Stage2Config``, batch 256, 20 epochs)
@@ -12,13 +12,6 @@ while its loss history agrees with the reference's within
 forward bits, gradients that may reassociate sums).  The script puts
 the repository root on ``sys.path`` itself, so the oracle imports both
 standalone and under pytest.
-
-The telemetry layer adds a second gate: the same fused fit with a
-:class:`~repro.train.ProfilerCallback` attached (per-phase wall-time
-histograms every batch) must cost <= 3% per median step and keep the loss
-history bit-identical — the same path must give the same bits, so
-profiling may never change what the model computes — see
-``run_profile_overhead``.
 
 The win is Python-and-memory overhead, not FLOPs: the reference pays ~180
 graph nodes/closures per step (vs ~50), per-batch copies, per-parameter
@@ -67,7 +60,6 @@ from tests.nn.reference import reference_path  # noqa: E402
 SPEEDUP_TARGET = 2.0
 # Fused vs reference loss histories: the kernels' gradient tolerance.
 HISTORY_RTOL = 1e-12
-OVERHEAD_LIMIT = 0.03
 SAMPLES_DEFAULT = 2048
 EPOCHS_DEFAULT = 20
 ROUNDS_DEFAULT = 3
@@ -97,32 +89,23 @@ def _provenance() -> dict:
             "platform": platform.platform()}
 
 
-def _fit(problem, dataset, model_config, stage2_config,
-         fused: bool, profile: bool = False):
+def _fit(problem, dataset, model_config, stage2_config, fused: bool):
     """One full stage-2 fit.
 
-    Returns (total wall seconds, per-epoch wall seconds, loss history,
-    profile snapshot or None); the per-epoch times come from the training
-    engine's own :class:`~repro.train.ThroughputMonitor`.  With
-    ``profile`` a :class:`~repro.train.ProfilerCallback` rides along, so
-    the fit runs the loop's instrumented path (the overhead under test).
+    Returns (total wall seconds, per-epoch wall seconds, loss history);
+    the per-epoch times come from the training engine's own
+    :class:`~repro.train.ThroughputMonitor`.
     """
-    from repro.train import ProfilerCallback, ThroughputMonitor
+    from repro.train import ThroughputMonitor
 
     with contextlib.nullcontext() if fused else reference_path():
         model = AirchitectV2(model_config, problem, np.random.default_rng(0))
         trainer = Stage2Trainer(model, stage2_config)
         monitor = ThroughputMonitor()
-        callbacks = [monitor]
-        profiler_cb = None
-        if profile:
-            profiler_cb = ProfilerCallback()
-            callbacks.append(profiler_cb)
         start = time.perf_counter()
-        history = trainer.train(dataset, callbacks=tuple(callbacks))
+        history = trainer.train(dataset, callbacks=(monitor,))
         total = time.perf_counter() - start
-        snapshot = profiler_cb.snapshot() if profiler_cb is not None else None
-        return total, [e["seconds"] for e in monitor.epochs], history, snapshot
+        return total, [e["seconds"] for e in monitor.epochs], history
 
 
 def run_bench(samples: int = SAMPLES_DEFAULT, epochs: int = EPOCHS_DEFAULT,
@@ -148,7 +131,7 @@ def run_bench(samples: int = SAMPLES_DEFAULT, epochs: int = EPOCHS_DEFAULT,
     histories = {}
     for _ in range(rounds):
         for mode, fused in MODES.items():
-            total, epoch_seconds, histories[mode], _ = _fit(
+            total, epoch_seconds, histories[mode] = _fit(
                 problem, dataset, model_config, stage2, fused)
             totals[mode] = min(totals[mode], total)
             epoch_times[mode].extend(epoch_seconds[warmup_epochs:])
@@ -185,65 +168,6 @@ def run_bench(samples: int = SAMPLES_DEFAULT, epochs: int = EPOCHS_DEFAULT,
     return result
 
 
-def run_profile_overhead(samples: int = SAMPLES_DEFAULT,
-                         epochs: int = EPOCHS_DEFAULT,
-                         rounds: int = ROUNDS_DEFAULT, seed: int = 7,
-                         model_config: ModelConfig | None = None,
-                         batch_size: int | None = None,
-                         warmup_epochs: int = 0) -> dict:
-    """The instrumentation gate of the telemetry layer (PR 7).
-
-    The same fused stage-2 fit runs plain and with a
-    :class:`~repro.train.ProfilerCallback` attached (per-phase wall-time
-    histograms on every batch); the profiled median step must stay within
-    ``OVERHEAD_LIMIT`` of the plain one, and the loss history must remain
-    bit-identical — profiling may never change what the model computes.
-    The first ``warmup_epochs`` of every fit are left out of the medians.
-    """
-    problem = DSEProblem()
-    dataset = generate_random_dataset(problem, samples,
-                                      np.random.default_rng(seed))
-    model_config = model_config or ModelConfig()
-    stage2 = (Stage2Config(epochs=epochs) if batch_size is None
-              else Stage2Config(epochs=epochs, batch_size=batch_size))
-
-    _fit(problem, dataset, model_config, Stage2Config(epochs=1), fused=True)
-
-    epoch_times: dict[bool, list[float]] = {False: [], True: []}
-    histories = {}
-    snapshot = None
-    for round_idx in range(rounds):
-        # Alternate which mode runs first: a fixed order folds slow
-        # drift (CPU frequency, allocator state) into whichever mode
-        # always runs later and fakes an overhead.
-        modes = (False, True) if round_idx % 2 == 0 else (True, False)
-        for profile in modes:
-            _, epoch_seconds, histories[profile], snap = _fit(
-                problem, dataset, model_config, stage2,
-                fused=True, profile=profile)
-            epoch_times[profile].extend(epoch_seconds[warmup_epochs:])
-            if snap is not None:
-                snapshot = snap
-
-    steps_per_epoch = samples // stage2.batch_size
-    plain_step = float(np.median(epoch_times[False])) / steps_per_epoch
-    profiled_step = float(np.median(epoch_times[True])) / steps_per_epoch
-    overhead = max(profiled_step / max(plain_step, 1e-12) - 1.0, 0.0)
-    shares = {phase: stats["share"]
-              for phase, stats in snapshot["phases"].items()}
-    return {"rounds": rounds,
-            "batch_size": stage2.batch_size,
-            "steps_per_epoch": steps_per_epoch,
-            "warmup_epochs": warmup_epochs,
-            "plain_step_ms": 1000.0 * plain_step,
-            "profiled_step_ms": 1000.0 * profiled_step,
-            "profile_overhead": overhead,
-            "overhead_limit": OVERHEAD_LIMIT,
-            "overhead_ok": overhead <= OVERHEAD_LIMIT,
-            "identical_history": bool(histories[False] == histories[True]),
-            "phase_shares": shares}
-
-
 def run_smoke() -> dict:
     """Tiny configuration for CI: asserts direction, not magnitude."""
     config = ModelConfig(d_model=16, n_layers=1, n_heads=2, embed_dim=8,
@@ -260,12 +184,6 @@ def run_smoke() -> dict:
     # Direction-only fused gate at this scale: the win must exist, not
     # hit the full-size magnitude target.
     result["speedup_target"] = 1.0
-    # More rounds than the speedup bench: the 3% gate needs a stable
-    # median at this tiny scale, and each extra round costs ~0.1s.
-    result["profiling"] = run_profile_overhead(samples=512, epochs=8,
-                                               rounds=4, model_config=config,
-                                               batch_size=64,
-                                               warmup_epochs=3)
     return result
 
 
@@ -276,15 +194,6 @@ def test_fused_train_step_beats_reference(benchmark):
     print(json.dumps(result, indent=2))
     assert result["history_close"]
     assert result["speedup"] >= SPEEDUP_TARGET
-
-
-@pytest.mark.slow
-def test_profiler_overhead_within_gate():
-    """Per-phase profiling costs <= 3% per step, history bit-identical."""
-    result = run_profile_overhead()
-    print(json.dumps(result, indent=2))
-    assert result["identical_history"]
-    assert result["overhead_ok"]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -307,9 +216,6 @@ def main(argv: list[str] | None = None) -> int:
     else:
         result = run_bench(samples=args.samples, epochs=args.epochs,
                            rounds=args.rounds, seed=args.seed)
-        result["profiling"] = run_profile_overhead(
-            samples=args.samples, epochs=args.epochs,
-            rounds=args.rounds, seed=args.seed)
     result["provenance"] = _provenance()
     text = json.dumps(result, indent=2)
     print(text)
@@ -324,17 +230,6 @@ def main(argv: list[str] | None = None) -> int:
     if result["speedup"] < result["speedup_target"]:
         print(f"FAIL: speedup {result['speedup']:.2f}x < "
               f"{result['speedup_target']:.1f}x target", file=sys.stderr)
-        failed = True
-    profiling = result["profiling"]
-    if not profiling["identical_history"]:
-        print("FAIL: profiled loss history diverges from the plain fit",
-              file=sys.stderr)
-        failed = True
-    if not profiling["overhead_ok"]:
-        print(f"FAIL: profiling overhead "
-              f"{profiling['profile_overhead'] * 100:.2f}% exceeds the "
-              f"{profiling['overhead_limit'] * 100:.0f}% gate",
-              file=sys.stderr)
         failed = True
     return 1 if failed else 0
 

@@ -47,7 +47,7 @@ def _rows_dataset_gen(doc: dict) -> list[tuple[str, str, str, str]]:
 
 
 def _rows_train_step(doc: dict) -> list[tuple[str, str, str, str]]:
-    rows = [(
+    return [(
         "train_step",
         f"{_fmt(doc['speedup'])}x fused step speedup "
         f"({_fmt(doc['fused_step_ms'])}ms vs "
@@ -57,19 +57,18 @@ def _rows_train_step(doc: dict) -> list[tuple[str, str, str, str]]:
         _gate(doc["speedup"] >= doc["speedup_target"]
               and doc["history_close"]),
     )]
-    profiling = doc.get("profiling")
-    if profiling:
-        rows.append((
-            "train_step/profiling",
-            f"{profiling['profile_overhead'] * 100:.2f}% profiler overhead "
-            f"({_fmt(profiling['profiled_step_ms'])}ms vs "
-            f"{_fmt(profiling['plain_step_ms'])}ms step)",
-            f"<= {profiling['overhead_limit'] * 100:.0f}%, "
-            "identical history",
-            _gate(profiling["overhead_ok"]
-                  and profiling["identical_history"]),
-        ))
-    return rows
+
+
+def _rows_batched_inference(doc: dict) -> list[tuple[str, str, str, str]]:
+    return [(
+        "batched_inference",
+        f"{_fmt(doc['speedup'])}x tiled-engine speedup "
+        f"({_fmt(doc['batched_samples_per_sec'], 0)} vs "
+        f"{_fmt(doc['loop_samples_per_sec'], 0)} samples/s)",
+        f">= {_fmt(doc['speedup_target'], 1)}x, identical predictions",
+        _gate(doc["speedup"] >= doc["speedup_target"]
+              and doc["identical_predictions"]),
+    )]
 
 
 def _rows_serving(doc: dict) -> list[tuple[str, str, str, str]]:
@@ -117,6 +116,7 @@ def _rows_serving(doc: dict) -> list[tuple[str, str, str, str]]:
 
 
 _FORMATTERS = {
+    "BENCH_batched_inference.json": _rows_batched_inference,
     "BENCH_dataset_gen.json": _rows_dataset_gen,
     "BENCH_train_step.json": _rows_train_step,
     "BENCH_serving.json": _rows_serving,

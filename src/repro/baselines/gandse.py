@@ -92,12 +92,6 @@ class GANDSE(nn.Module):
         return np.stack([dataset.pe_idx / max(space.n_pe - 1, 1),
                          dataset.l2_idx / max(space.n_l2 - 1, 1)], axis=1)
 
-    def _denormalise(self, designs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        space = self.problem.space
-        pe = np.clip(np.rint(designs[:, 0] * (space.n_pe - 1)), 0, space.n_pe - 1)
-        l2 = np.clip(np.rint(designs[:, 1] * (space.n_l2 - 1)), 0, space.n_l2 - 1)
-        return pe.astype(np.int64), l2.astype(np.int64)
-
     def predict_indices(self, inputs: np.ndarray,
                         batch_size: int = 1024) -> tuple[np.ndarray, np.ndarray]:
         """Generate-then-validate inference.

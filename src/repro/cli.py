@@ -33,11 +33,10 @@ Examples::
     python -m repro train --smoke --registry .repro_cache
     python -m repro train --smoke --json      # CI fast path
 
-    # Observability: Prometheus /metrics, request traces, live polling,
-    # per-phase train profiling:
+    # Observability: Prometheus /metrics, request traces, live polling
+    # (every train run also reports its per-phase profile):
     python -m repro serve --trace-file traces.ndjson
     python -m repro stats --watch 2           # or --metrics for raw text
-    python -m repro train --smoke --profile --json
 """
 
 from __future__ import annotations
@@ -299,10 +298,6 @@ def train_main(argv: list[str] | None = None) -> int:
                              "given explicitly")
     parser.add_argument("--json", action="store_true",
                         help="emit a JSON summary instead of text")
-    parser.add_argument("--profile", action="store_true",
-                        help="time every batch's data/forward/backward/"
-                             "optimizer phases (per-phase wall-time "
-                             "histograms in the summary)")
     parser.add_argument("--scale", default=None, choices=sorted(SCALES),
                         help="training scale (default: $REPRO_SCALE or "
                              "'small'; --smoke forces 'tiny')")
@@ -341,15 +336,11 @@ def train_main(argv: list[str] | None = None) -> int:
 
     from .train import ProfilerCallback, ThroughputMonitor
     throughput = ThroughputMonitor()
-    callbacks = [throughput]
-    profiler_cb = None
-    if args.profile:
-        profiler_cb = ProfilerCallback()
-        callbacks.append(profiler_cb)
+    profiler_cb = ProfilerCallback()
     start = time.perf_counter()
     try:
         model = getter(scale, train_set, workspace, problem,
-                       callbacks=tuple(callbacks))
+                       callbacks=(throughput, profiler_cb))
     except KeyboardInterrupt:
         print("\ninterrupted: checkpoint saved; re-run the same command "
               "to resume", file=sys.stderr)
@@ -388,9 +379,8 @@ def train_main(argv: list[str] | None = None) -> int:
                },
                "accuracy": metrics.accuracy if metrics else None,
                "pe_accuracy": metrics.pe_accuracy if metrics else None,
-               "l2_accuracy": metrics.l2_accuracy if metrics else None}
-    if profiler_cb is not None:
-        summary["profile"] = profiler_cb.snapshot()
+               "l2_accuracy": metrics.l2_accuracy if metrics else None,
+               "profile": profiler_cb.snapshot()}
 
     if args.registry:
         from .registry import ModelRegistry
@@ -420,8 +410,8 @@ def train_main(argv: list[str] | None = None) -> int:
             print(f"throughput: {throughput.mean_samples_per_sec:.0f} "
                   f"samples/sec over {len(throughput.epochs)} epoch(s) "
                   f"({throughput.total_seconds:.1f}s in the train loop)")
-        if profiler_cb is not None:
-            profile = profiler_cb.snapshot()
+        profile = summary["profile"]
+        if profile["batches"]:
             shares = ", ".join(
                 f"{phase} {stats['share'] * 100:.1f}%"
                 for phase, stats in profile["phases"].items())

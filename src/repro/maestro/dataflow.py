@@ -126,17 +126,3 @@ def spatial_analysis(dataflow, m, n, k, pes) -> SpatialAnalysis:
     """Convenience constructor accepting any dataflow designator."""
     return SpatialAnalysis(Dataflow.from_any(dataflow), m, n, k, pes)
 
-
-def _vectorized_array_dims(pes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Apply :func:`array_dims` elementwise (cached per unique PE count)."""
-    flat = np.atleast_1d(pes)
-    a1 = np.empty(flat.shape, dtype=np.int64)
-    a2 = np.empty(flat.shape, dtype=np.int64)
-    for value in np.unique(flat):
-        r, c = array_dims(int(value))
-        mask = flat == value
-        a1[mask] = r
-        a2[mask] = c
-    if np.isscalar(pes) or np.ndim(pes) == 0:
-        return a1.reshape(()), a2.reshape(())
-    return a1.reshape(np.shape(pes)), a2.reshape(np.shape(pes))

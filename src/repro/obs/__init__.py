@@ -18,9 +18,9 @@ the per-subsystem counters that accreted around it:
   :func:`get_logger` returns per-subsystem ``repro.*`` loggers emitting
   JSON lines.
 * **Profiling** (:mod:`repro.obs.profiling`) — per-phase
-  (data/forward/backward/optimizer) wall-time histograms for
-  :class:`~repro.train.TrainLoop`, surfaced by ``repro train --json``
-  and :class:`~repro.train.ProfilerCallback`.
+  (data/forward/backward/optimizer) wall-time histograms that every
+  :class:`~repro.train.TrainLoop` fit records, read back through
+  :class:`~repro.train.ProfilerCallback` and ``repro train --json``.
 
 :func:`get_registry` returns the process-default registry for code
 without a natural owner (the CLI, benchmarks); servers create their own

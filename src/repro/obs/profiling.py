@@ -13,16 +13,14 @@ whole ``batch_step`` and subtracts whatever the :class:`StepContext`
 recorded as backward/optimizer time — the task API never exposes the
 forward/backward boundary directly.
 
-Recording one phase costs two ``perf_counter`` reads and one O(1)
-histogram record; the ≤3 % instrumentation gate in
-``benchmarks/bench_train_step.py`` holds the loop to that.  Attach an
-optional :class:`~repro.obs.MetricsRegistry` to additionally publish
-``repro_train_phase_seconds{phase=...}`` histograms for scraping.
+The training loop records every batch, with no opt-in: one batch's
+bookkeeping is eight ``perf_counter`` reads and four O(1) histogram
+records, a fraction of a percent of even a tiny fused train step.
 """
 
 from __future__ import annotations
 
-from .metrics import LatencyHistogram, MetricsRegistry
+from .metrics import LatencyHistogram
 
 __all__ = ["PhaseProfiler", "PHASES"]
 
@@ -32,37 +30,25 @@ PHASES = ("data", "forward", "backward", "optimizer")
 class PhaseProfiler:
     """Accumulate per-phase wall time; not thread-safe (one loop owns it)."""
 
-    def __init__(self, registry: MetricsRegistry | None = None):
+    def __init__(self):
         self._hists = {phase: LatencyHistogram() for phase in PHASES}
         self._batch_sums = dict.fromkeys(PHASES, 0.0)
-        self._metric = None
-        if registry is not None:
-            family = registry.histogram(
-                "repro_train_phase_seconds",
-                "Wall time per train-loop phase per batch.", ("phase",))
-            self._metric = {phase: family.labels(phase=phase)
-                            for phase in PHASES}
 
     # ------------------------------------------------------------------
     def record(self, phase: str, seconds: float) -> None:
+        """Book ``seconds`` (clamped at 0) to one of :data:`PHASES`."""
         seconds = max(float(seconds), 0.0)
-        hist = self._hists.get(phase)
-        if hist is None:
-            hist = self._hists[phase] = LatencyHistogram()
-            self._batch_sums.setdefault(phase, 0.0)
-        hist.record(seconds)
-        self._batch_sums[phase] = self._batch_sums.get(phase, 0.0) + seconds
-        if self._metric is not None and phase in self._metric:
-            self._metric[phase].observe(seconds)
+        self._hists[phase].record(seconds)
+        self._batch_sums[phase] += seconds
 
     def start_batch(self) -> None:
         """Reset the per-batch sums (the forward-by-subtraction basis)."""
         for phase in self._batch_sums:
             self._batch_sums[phase] = 0.0
 
-    def batch_seconds(self, phases=("backward", "optimizer")) -> float:
-        """This batch's accumulated time over ``phases``."""
-        return sum(self._batch_sums.get(phase, 0.0) for phase in phases)
+    def batch_seconds(self) -> float:
+        """This batch's accumulated backward + optimizer time."""
+        return self._batch_sums["backward"] + self._batch_sums["optimizer"]
 
     # ------------------------------------------------------------------
     @property
@@ -70,8 +56,7 @@ class PhaseProfiler:
         return self._hists["forward"].count
 
     def total_seconds(self, phase: str) -> float:
-        hist = self._hists.get(phase)
-        return hist.total_s if hist is not None else 0.0
+        return self._hists[phase].total_s
 
     def snapshot(self) -> dict:
         """JSON-ready per-phase stats plus each phase's share of the total."""

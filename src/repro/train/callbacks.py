@@ -8,9 +8,10 @@ Four stock callbacks cover the runtime's side channels:
   improving;
 * :class:`ThroughputMonitor` — per-epoch samples/sec accounting for
   benchmarks and the ``repro train`` CLI;
-* :class:`ProfilerCallback` — per-phase (data/forward/backward/optimizer)
-  wall-time histograms via :class:`~repro.obs.PhaseProfiler`, surfaced
-  by ``repro train --json --profile``.
+* :class:`ProfilerCallback` — exposes the per-phase
+  (data/forward/backward/optimizer) wall-time histograms that every fit
+  records in a :class:`~repro.obs.PhaseProfiler`, surfaced by
+  ``repro train --json``.
 """
 
 from __future__ import annotations
@@ -178,20 +179,15 @@ class ThroughputMonitor(Callback):
 
 
 class ProfilerCallback(Callback):
-    """Attach a :class:`~repro.obs.PhaseProfiler` to the loop.
+    """Keep the loop's per-phase wall-time profile readable after the fit.
 
-    The loop stays on its un-instrumented fast path unless a profiler is
-    attached, so profiling is strictly opt-in; with this callback every
-    batch's data/forward/backward/optimizer wall time lands in per-phase
-    histograms (see :meth:`snapshot`).  Pass a
-    :class:`~repro.obs.MetricsRegistry` to additionally publish
-    ``repro_train_phase_seconds{phase=...}`` for scraping.
+    Every fit times each batch's data/forward/backward/optimizer phases;
+    this callback swaps in its own :class:`~repro.obs.PhaseProfiler` so
+    those per-phase histograms stay reachable (see :meth:`snapshot`).
     """
 
-    def __init__(self, profiler: PhaseProfiler | None = None,
-                 registry=None):
-        self.profiler = profiler if profiler is not None \
-            else PhaseProfiler(registry=registry)
+    def __init__(self):
+        self.profiler = PhaseProfiler()
 
     def on_fit_begin(self, loop) -> None:
         loop.profiler = self.profiler

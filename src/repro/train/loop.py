@@ -9,6 +9,8 @@ VAESA).  :class:`TrainLoop` is the single runtime they all run on now:
   generator/discriminator steps use two) with optional per-spec cosine
   schedules and gradient clipping,
 * per-epoch loss-history accounting and verbose reporting,
+* per-batch data/forward/backward/optimizer wall time, recorded on
+  every fit into a :class:`~repro.obs.PhaseProfiler`,
 * a callback system (:mod:`repro.train.callbacks`) for checkpoint/resume,
   early stopping and throughput statistics.
 
@@ -21,7 +23,6 @@ histories are bit-identical to the pre-refactor code (asserted by
 
 from __future__ import annotations
 
-import os
 import time
 import warnings
 from dataclasses import dataclass
@@ -30,6 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .. import nn
+from ..obs import PhaseProfiler
 
 __all__ = ["OptimSpec", "StepContext", "TrainTask", "TrainLoop"]
 
@@ -51,18 +53,17 @@ class OptimSpec:
 class StepContext:
     """Handed to :meth:`TrainTask.batch_step`; applies optimiser updates.
 
-    When the loop carries a :class:`~repro.obs.PhaseProfiler`
-    (``profiler`` is set), :meth:`apply` additionally times the backward
-    pass and the optimiser update into it — this is where the
+    :meth:`apply` also times the backward pass and the optimiser update
+    into the loop's :class:`~repro.obs.PhaseProfiler` — this is where the
     forward/backward boundary is visible, so the loop can attribute the
     rest of ``batch_step`` to the forward phase by subtraction.
     """
 
     def __init__(self, optimizers: dict[str, nn.Optimizer],
-                 specs: dict[str, OptimSpec]):
+                 specs: dict[str, OptimSpec], profiler: PhaseProfiler):
         self._optimizers = optimizers
         self._specs = specs
-        self.profiler = None
+        self.profiler = profiler
 
     def apply(self, loss, name: str = "main"):
         """zero_grad -> backward -> clip -> step on the named optimiser.
@@ -75,13 +76,6 @@ class StepContext:
         opt = self._optimizers[name]
         spec = self._specs[name]
         profiler = self.profiler
-        if profiler is None:
-            opt.zero_grad()
-            loss.backward()
-            if spec.grad_clip is not None:
-                opt.clip_grad_norm(spec.grad_clip)
-            opt.step()
-            return loss
         tic = time.perf_counter()
         opt.zero_grad()
         zero_s = time.perf_counter() - tic
@@ -166,9 +160,9 @@ class TrainLoop:
         self.active_callbacks: list = []
         self.last_epoch_seconds = 0.0
         self.last_epoch_samples = 0
-        # Optional per-phase wall-time profiler; None keeps the loop on
-        # its original un-instrumented path (zero added work per batch).
-        self.profiler = None
+        # Per-phase wall-time profiler; ``fit`` sets a fresh one before
+        # the callbacks' ``on_fit_begin`` (which may swap in their own).
+        self.profiler: PhaseProfiler | None = None
 
     @property
     def model(self) -> nn.Module:
@@ -221,13 +215,13 @@ class TrainLoop:
                 except CheckpointCorruptError as exc:
                     warnings.warn(f"{exc}", RuntimeWarning, stacklevel=2)
 
-        step = StepContext(self.optimizers, self._specs)
+        self.profiler = PhaseProfiler()
         for cb in callbacks:
             cb.on_fit_begin(self)
-        # Callbacks (e.g. ProfilerCallback) may have attached a profiler
-        # in on_fit_begin; read it once and pin it on the step context.
+        # A callback (e.g. ProfilerCallback) may have swapped in its own
+        # profiler in on_fit_begin; read it once and pin it for the fit.
         profiler = self.profiler
-        step.profiler = profiler
+        step = StepContext(self.optimizers, self._specs, profiler)
         for epoch in range(self.start_epoch, task.epochs):
             if self.should_stop:
                 break
@@ -236,35 +230,25 @@ class TrainLoop:
             sums = dict.fromkeys(task.history_keys, 0.0)
             batches = 0
             samples = 0
-            if profiler is None:
-                for batch in loader:
-                    metrics = task.batch_step(batch, step, self.rng)
-                    for key in sums:
-                        sums[key] += metrics[key]
-                    batches += 1
-                    samples += len(batch[0])
-            else:
-                iterator = iter(loader)
-                while True:
-                    tic_data = time.perf_counter()
-                    try:
-                        batch = next(iterator)
-                    except StopIteration:
-                        break
-                    profiler.record("data",
-                                    time.perf_counter() - tic_data)
-                    profiler.start_batch()
-                    tic_step = time.perf_counter()
-                    metrics = task.batch_step(batch, step, self.rng)
-                    step_s = time.perf_counter() - tic_step
-                    # Forward by subtraction: batch_step minus whatever
-                    # StepContext.apply booked as backward/optimizer.
-                    profiler.record("forward",
-                                    step_s - profiler.batch_seconds())
-                    for key in sums:
-                        sums[key] += metrics[key]
-                    batches += 1
-                    samples += len(batch[0])
+            iterator = iter(loader)
+            while True:
+                tic_data = time.perf_counter()
+                try:
+                    batch = next(iterator)
+                except StopIteration:
+                    break
+                profiler.record("data", time.perf_counter() - tic_data)
+                profiler.start_batch()
+                tic_step = time.perf_counter()
+                metrics = task.batch_step(batch, step, self.rng)
+                step_s = time.perf_counter() - tic_step
+                # Forward by subtraction: batch_step minus whatever
+                # StepContext.apply booked as backward/optimizer.
+                profiler.record("forward", step_s - profiler.batch_seconds())
+                for key in sums:
+                    sums[key] += metrics[key]
+                batches += 1
+                samples += len(batch[0])
             for scheduler in self.schedulers.values():
                 scheduler.step()
             for key in self.history:

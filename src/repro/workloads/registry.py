@@ -8,8 +8,8 @@ resolutions / sequence lengths) and a disjoint evaluation set containing
 ResNet-50, Llama2-7B, Llama3-8B and friends.
 
 ``training_workloads()`` / ``evaluation_workloads()`` build the actual
-:class:`ModelWorkload` objects (lazily — building all 105 takes ~20 ms
-on a 2-vCPU x86 host).
+:class:`ModelWorkload` objects (lazily, each model once per call —
+building all 105 takes ~30 ms on a 2-vCPU x86 host).
 """
 
 from __future__ import annotations
@@ -29,15 +29,10 @@ __all__ = ["TRAINING_MODEL_COUNT", "training_registry", "evaluation_registry",
 TRAINING_MODEL_COUNT = 105
 
 
-def _training_specs() -> dict[str, Callable[[], ModelWorkload]]:
-    """The 105 training-model builders, keyed by canonical name."""
-    specs: dict[str, Callable[[], ModelWorkload]] = {}
-
-    def add(factory: Callable[[], ModelWorkload]) -> None:
-        model = factory()
-        if model.name in specs:
-            raise ValueError(f"duplicate workload {model.name}")
-        specs[model.name] = factory
+def _training_factories() -> list[Callable[[], ModelWorkload]]:
+    """The 105 training-model builders, in registry order (unbuilt)."""
+    factories: list[Callable[[], ModelWorkload]] = []
+    add = factories.append
 
     # --- CNNs ----------------------------------------------------------
     for depth in (11, 13, 16, 19):                         # 16 VGGs
@@ -84,7 +79,7 @@ def _training_specs() -> dict[str, Callable[[], ModelWorkload]]:
     for seq in (1024, 2048):                               # 2 Llama-3 70B
         add(lambda q=seq: llama("llama3_70b", q))          # (8B held out)
 
-    return specs
+    return factories
 
 
 def _evaluation_specs() -> dict[str, Callable[[], ModelWorkload]]:
@@ -104,19 +99,30 @@ def _evaluation_specs() -> dict[str, Callable[[], ModelWorkload]]:
     return {factory().name: factory for factory in factories}
 
 
+def _training_models() -> tuple[list[Callable[[], ModelWorkload]],
+                                list[ModelWorkload]]:
+    """Build every training model once; validate names and count."""
+    factories = _training_factories()
+    models = [factory() for factory in factories]
+    names = [model.name for model in models]
+    duplicates = sorted({name for name in names if names.count(name) > 1})
+    if duplicates:
+        raise ValueError(f"duplicate workloads {duplicates}")
+    if len(models) != TRAINING_MODEL_COUNT:
+        raise AssertionError(
+            f"training registry has {len(models)} models, expected "
+            f"{TRAINING_MODEL_COUNT}")
+    overlap = set(evaluation_registry()) & set(names)
+    if overlap:
+        raise AssertionError(f"evaluation models leak into training: {overlap}")
+    return factories, models
+
+
 @lru_cache(maxsize=1)
 def training_registry() -> dict[str, Callable[[], ModelWorkload]]:
     """Name -> builder for the 105 training models (validated count)."""
-    specs = _training_specs()
-    if len(specs) != TRAINING_MODEL_COUNT:
-        raise AssertionError(
-            f"training registry has {len(specs)} models, expected "
-            f"{TRAINING_MODEL_COUNT}")
-    eval_names = set(_evaluation_specs())
-    overlap = eval_names & set(specs)
-    if overlap:
-        raise AssertionError(f"evaluation models leak into training: {overlap}")
-    return specs
+    factories, models = _training_models()
+    return {model.name: factory for factory, model in zip(factories, models)}
 
 
 @lru_cache(maxsize=1)
@@ -133,8 +139,8 @@ def build_workload(name: str) -> ModelWorkload:
 
 
 def training_workloads() -> list[ModelWorkload]:
-    """Materialise all 105 training models."""
-    return [factory() for factory in training_registry().values()]
+    """Materialise all 105 training models (each built once)."""
+    return _training_models()[1]
 
 
 def evaluation_workloads() -> list[ModelWorkload]:

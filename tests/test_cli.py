@@ -126,6 +126,11 @@ class TestTrainCommand:
         assert doc["train_samples"] > 0
         assert 0.0 <= doc["accuracy"] <= 1.0
         assert "execution" not in doc
+        # Every fit times its phases: the profile needs no flag.
+        profile = doc["profile"]
+        assert profile["batches"] > 0
+        assert set(profile["phases"]) == {"data", "forward", "backward",
+                                          "optimizer"}
 
     def test_reference_path_matches_fast_accuracy(self, tmp_path, capsys):
         """The composed reference oracle trains through the CLI to the
@@ -151,11 +156,14 @@ class TestTrainCommand:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["cached_model"] is True
+        assert doc["profile"]["batches"] == 0     # no epochs ran
 
     def test_checkpoints_cleaned_after_success(self, tmp_path, capsys):
         main(["train", "--smoke", "--cache", str(tmp_path)])
         leftovers = list(tmp_path.glob("**/ckpt_*"))
         assert leftovers == []
+        # The text summary prints the phase shares whenever batches ran.
+        assert "batches): data " in capsys.readouterr().out
 
     def test_parallel_labelling_workers(self, tmp_path, capsys):
         code = main(["train", "--smoke", "--cache", str(tmp_path),

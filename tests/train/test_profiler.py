@@ -1,5 +1,6 @@
 """Train-phase profiling: PhaseProfiler accounting, ProfilerCallback
-wiring, and the bit-identity contract of the instrumented loop."""
+wiring, the loop timing every batch with no callback attached, and the
+bit-identity contract of a swapped-in profiler."""
 
 from __future__ import annotations
 
@@ -9,8 +10,8 @@ import pytest
 from repro.core import (AirchitectV2, ModelConfig, Stage1Config, Stage1Trainer,
                         Stage2Config, Stage2Trainer)
 from repro.dse import generate_random_dataset
-from repro.obs import PHASES, MetricsRegistry, PhaseProfiler
-from repro.train import ProfilerCallback
+from repro.obs import PHASES, PhaseProfiler
+from repro.train import Callback, ProfilerCallback, TrainLoop
 
 
 @pytest.fixture(scope="module")
@@ -59,14 +60,6 @@ class TestPhaseProfiler:
         assert snap["phases"]["forward"]["share"] == pytest.approx(0.5)
         assert "buckets" not in snap["phases"]["forward"]
 
-    def test_registry_publication(self):
-        registry = MetricsRegistry()
-        profiler = PhaseProfiler(registry=registry)
-        profiler.record("backward", 0.01)
-        text = registry.render()
-        assert "# TYPE repro_train_phase_seconds histogram" in text
-        assert 'repro_train_phase_seconds_count{phase="backward"} 1' in text
-
 
 class TestProfilerCallback:
     def test_fit_attaches_profiler_and_counts_batches(self, problem,
@@ -89,22 +82,20 @@ class TestProfilerCallback:
             train_data, callbacks=(ProfilerCallback(),))
         assert profiled == plain
 
-    def test_loop_without_profiler_stays_uninstrumented(self, problem,
-                                                        train_data):
-        from repro.train import TrainLoop
-
+    def test_loop_times_phases_without_profiler_callback(self, problem,
+                                                         train_data):
         captured = {}
 
-        class Probe(ProfilerCallback):
+        class Probe(Callback):
             def on_fit_begin(self, loop) -> None:
-                captured["loop"] = loop      # do NOT attach a profiler
+                captured["loop"] = loop
 
         trainer = Stage2Trainer(_v2_model(problem), Stage2Config(epochs=1))
         trainer.train(train_data, callbacks=(Probe(),))
-        assert isinstance(captured["loop"], TrainLoop)
-        assert captured["loop"].profiler is None
-
-    def test_external_profiler_instance_reused(self):
-        profiler = PhaseProfiler()
-        callback = ProfilerCallback(profiler=profiler)
-        assert callback.profiler is profiler
+        loop = captured["loop"]
+        assert isinstance(loop, TrainLoop)
+        snap = loop.profiler.snapshot()
+        # 300 samples / batch 256 -> 2 batches, each timed in every phase.
+        assert snap["batches"] == 2
+        for phase in PHASES:
+            assert snap["phases"][phase]["count"] == 2

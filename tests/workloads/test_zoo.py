@@ -104,6 +104,26 @@ class TestRegistry:
             arr = model.layer_array()
             assert (arr >= 1).all(), model.name
 
+    def test_all_training_layers_builds_each_model_once(self, monkeypatch):
+        from repro.workloads import all_training_layers, registry
+
+        calls = []
+
+        def counted_bert(*args):
+            calls.append(args)
+            return bert(*args)
+
+        evaluation_registry()      # its one BERT is not a training build
+        training_registry.cache_clear()
+        monkeypatch.setattr(registry, "bert", counted_bert)
+        try:
+            all_training_layers()
+        finally:
+            training_registry.cache_clear()
+        # 8 BERTs in the training set, one build each.
+        assert len(calls) == 8
+        assert len(set(calls)) == 8
+
 
 class TestKnownShapes:
     """Spot checks against published architecture numbers."""
