@@ -12,19 +12,17 @@ from repro.experiments.ablations import (run_deployment_ablation,
                                          run_metric_ablation,
                                          run_tolerance_ablation)
 
-from .conftest import run_once
 
-
-def test_ablation_deployment_methods(benchmark, scale, workspace):
-    out = run_once(benchmark, run_deployment_ablation, scale, workspace)
+def test_ablation_deployment_methods(run_once, scale, workspace):
+    out = run_once(run_deployment_ablation, scale, workspace)
     print("\n" + out["table"])
     for name, entry in out["results"].items():
         assert entry["method1"].total_latency <= \
             entry["method2"].total_latency + 1e-9, name
 
 
-def test_ablation_optimisation_metric(benchmark, scale):
-    out = run_once(benchmark, run_metric_ablation, scale)
+def test_ablation_optimisation_metric(benchmark, run_once, scale):
+    out = run_once(run_metric_ablation, scale)
     print("\n" + out["table"])
     stats = out["stats"]
     assert stats["energy"]["mean_pes"] <= stats["latency"]["mean_pes"]
@@ -33,8 +31,8 @@ def test_ablation_optimisation_metric(benchmark, scale):
         for metric, entry in stats.items()}
 
 
-def test_ablation_oracle_tolerance(benchmark, scale):
-    out = run_once(benchmark, run_tolerance_ablation, scale)
+def test_ablation_oracle_tolerance(run_once, scale):
+    out = run_once(run_tolerance_ablation, scale)
     print("\n" + out["table"])
     stats = out["stats"]
     # Looser tolerance -> cheaper configs, bounded extra cost.

@@ -9,11 +9,9 @@ from __future__ import annotations
 
 from repro.experiments import run_fig3
 
-from .conftest import run_once
 
-
-def test_fig3_dataset_pathologies(benchmark, scale, workspace):
-    out = run_once(benchmark, run_fig3, scale, workspace)
+def test_fig3_dataset_pathologies(benchmark, run_once, scale, workspace):
+    out = run_once(run_fig3, scale, workspace)
     print("\n" + out["table"])
 
     landscape = out["landscape"]

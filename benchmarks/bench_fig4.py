@@ -10,11 +10,9 @@ from __future__ import annotations
 
 from repro.experiments import run_fig4
 
-from .conftest import run_once
 
-
-def test_fig4_problem_complexity(benchmark, scale, workspace):
-    out = run_once(benchmark, run_fig4, scale, workspace)
+def test_fig4_problem_complexity(benchmark, run_once, scale, workspace):
+    out = run_once(run_fig4, scale, workspace)
     print(f"\nFig. 4: input complexity {out['input_space_complexity']:.2e}, "
           f"{out['num_distinct_buckets']} output buckets in use, "
           f"NN-label disagreement {out['nn_label_disagreement']:.2f}")

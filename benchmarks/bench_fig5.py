@@ -9,11 +9,9 @@ from __future__ import annotations
 
 from repro.experiments import run_fig5
 
-from .conftest import run_once
 
-
-def test_fig5_embedding_quality(benchmark, scale, workspace):
-    out = run_once(benchmark, run_fig5, scale, workspace)
+def test_fig5_embedding_quality(benchmark, run_once, scale, workspace):
+    out = run_once(run_fig5, scale, workspace)
     print("\n" + out["table"])
 
     with_c = out["with_contrastive"]["stats"]

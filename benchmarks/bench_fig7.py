@@ -11,11 +11,9 @@ import numpy as np
 
 from repro.experiments import run_fig7
 
-from .conftest import run_once
 
-
-def test_fig7_deployment_latency(benchmark, scale, workspace):
-    out = run_once(benchmark, run_fig7, scale, workspace)
+def test_fig7_deployment_latency(benchmark, run_once, scale, workspace):
+    out = run_once(run_fig7, scale, workspace)
     print("\n" + out["table"])
     print(f"mean baseline/v2 ratio: folded {out['mean_baseline_ratio']:.2f}x, "
           f"per-layer {out['mean_baseline_ratio_per_layer']:.2f}x")

@@ -9,11 +9,9 @@ from __future__ import annotations
 
 from repro.experiments import run_fig8a
 
-from .conftest import run_once
 
-
-def test_fig8a_bo_convergence(benchmark, scale, workspace):
-    out = run_once(benchmark, run_fig8a, scale, workspace)
+def test_fig8a_bo_convergence(benchmark, run_once, scale, workspace):
+    out = run_once(run_fig8a, scale, workspace)
     print(f"\nFig. 8(a) target: {out['target_model']}")
     for name, curve in out["curves"].items():
         marks = [curve[min(i, len(curve) - 1)]

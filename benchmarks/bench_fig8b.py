@@ -9,11 +9,9 @@ from __future__ import annotations
 
 from repro.experiments import run_fig8b
 
-from .conftest import run_once
 
-
-def test_fig8b_bucket_sweep(benchmark, scale, workspace):
-    out = run_once(benchmark, run_fig8b, scale, workspace)
+def test_fig8b_bucket_sweep(benchmark, run_once, scale, workspace):
+    out = run_once(run_fig8b, scale, workspace)
     print("\n" + out["table"])
 
     sweep = out["sweep"]

@@ -9,11 +9,9 @@ from __future__ import annotations
 
 from repro.experiments import run_fig9
 
-from .conftest import run_once
 
-
-def test_fig9_uov_vs_classification(benchmark, scale, workspace):
-    out = run_once(benchmark, run_fig9, scale, workspace)
+def test_fig9_uov_vs_classification(benchmark, run_once, scale, workspace):
+    out = run_once(run_fig9, scale, workspace)
     print("\n" + out["table"])
 
     results = out["results"]

@@ -9,11 +9,9 @@ from __future__ import annotations
 
 from repro.experiments import run_table2
 
-from .conftest import run_once
 
-
-def test_table2_stage1_ablation(benchmark, scale, workspace):
-    out = run_once(benchmark, run_table2, scale, workspace)
+def test_table2_stage1_ablation(benchmark, run_once, scale, workspace):
+    out = run_once(run_table2, scale, workspace)
     print("\n" + out["table"])
 
     results = out["results"]

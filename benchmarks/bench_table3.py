@@ -9,11 +9,9 @@ from __future__ import annotations
 
 from repro.experiments import run_table3
 
-from .conftest import run_once
 
-
-def test_table3_baseline_comparison(benchmark, scale, workspace):
-    out = run_once(benchmark, run_table3, scale, workspace)
+def test_table3_baseline_comparison(benchmark, run_once, scale, workspace):
+    out = run_once(run_table3, scale, workspace)
     print("\n" + out["table"])
 
     results = out["results"]

@@ -5,10 +5,12 @@ given by ``$REPRO_SCALE`` (default: ``small``) and shares one on-disk
 training cache (``$REPRO_CACHE``, default ``.repro_cache``): the first
 benchmark that needs a model trains it, later ones load it.  Run with
 
-    pytest benchmarks/ --benchmark-only -s
+    pytest benchmarks/bench_*.py --benchmark-only -s
 
-(-s shows the regenerated tables).  The paper-fidelity record (ROADMAP
-open item 1) is taken at the 'small' scale.
+(-s shows the regenerated tables).  ``benchmarks/`` is not a package, so
+the benches take the shared ``run_once`` helper as a fixture rather than
+import it.  The paper-fidelity record (ROADMAP open item 1) is taken at
+the 'small' scale.
 """
 
 from __future__ import annotations
@@ -30,7 +32,10 @@ def workspace():
     return Workspace(os.environ.get("REPRO_CACHE", ".repro_cache"))
 
 
-def run_once(benchmark, fn, *args, **kwargs):
+@pytest.fixture
+def run_once(benchmark):
     """Run an experiment exactly once under pytest-benchmark timing."""
-    return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1,
-                              iterations=1)
+    def run(fn, *args, **kwargs):
+        return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1,
+                                  iterations=1)
+    return run

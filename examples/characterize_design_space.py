@@ -16,7 +16,6 @@ import numpy as np
 from repro.analysis import grid_landscape_stats, longtail_stats
 from repro.dse import DSEProblem, ExhaustiveOracle
 from repro.maestro import CostModel, Dataflow
-from repro.scalesim import SystolicArray, SystolicMapping
 
 
 def ascii_heatmap(grid: np.ndarray, title: str) -> None:
@@ -79,20 +78,6 @@ def main() -> None:
         winner = min(lats, key=lats.get)
         pretty = ", ".join(f"{d}={v:,.0f}" for d, v in lats.items())
         print(f"   {name:14s}: {pretty}  -> winner: {winner}")
-
-    print("\n== 4. Cross-check vs the Scale-Sim systolic model")
-    arr_small, arr_big = SystolicArray(4, 4), SystolicArray(32, 32)
-    tiny, big = (4, 4, 8), (512, 512, 256)
-    for label, shape in [("tiny layer", tiny), ("big layer", big)]:
-        c_small = float(arr_small.run_gemm(*shape,
-                        SystolicMapping.OUTPUT_STATIONARY).cycles)
-        c_big = float(arr_big.run_gemm(*shape,
-                      SystolicMapping.OUTPUT_STATIONARY).cycles)
-        pref = "small array" if c_small < c_big else "big array"
-        print(f"   {label}: 4x4 -> {c_small:,.0f} cy, 32x32 -> {c_big:,.0f} cy"
-              f"  (prefers {pref})")
-    print("   Both cost models agree: resource needs follow layer shape,")
-    print("   which is exactly what AIRCHITECT v2 learns to predict.")
 
 
 if __name__ == "__main__":

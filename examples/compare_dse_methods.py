@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Survey every DSE technique in the repository on one workload.
 
-Search-based (random, GAMMA GA, ConfuciuX RL+GA, GP-BO) and learning-based
+Search-based (GP-BO over the raw design space) and learning-based
 (AIRCHITECT v1 / GANDSE / VAESA+BO / AIRCHITECT v2) methods all optimise
 the same Table-I hardware assignment for a ResNet-50 bottleneck layer —
 the Fig. 1 story: search methods pay per-query evaluations, learned
@@ -20,9 +20,7 @@ from repro.baselines import (GANDSE, GANDSEConfig, AirchitectV1, V1Config,
 from repro.core import (AirchitectV2, ModelConfig, Stage1Config, Stage1Trainer,
                         Stage2Config, Stage2Trainer)
 from repro.dse import DSEProblem, ExhaustiveOracle, generate_random_dataset
-from repro.search import (BOConfig, ConfuciuXConfig, DesignObjective,
-                          bayesian_optimization, confuciux_search,
-                          gamma_search, random_search)
+from repro.search import BOConfig, bayesian_optimization
 
 
 def main() -> None:
@@ -46,21 +44,10 @@ def main() -> None:
         rows.append((name, cost / optimum, note))
 
     # ---------------- search-based ------------------------------------
-    obj = DesignObjective(problem, target, oracle=oracle)
-    res = random_search(obj, 100, rng)
-    record("random (100 evals)", res.best_cost, f"{res.n_evals} evals")
-
-    obj = DesignObjective(problem, target, oracle=oracle)
-    res = gamma_search(obj, rng)
-    record("GAMMA GA", res.best_cost, f"{res.n_evals} evals")
-
-    obj = DesignObjective(problem, target, oracle=oracle)
-    res = confuciux_search(obj, rng, ConfuciuXConfig(episodes=48))
-    record("ConfuciuX RL+GA", res.best_cost, f"{res.n_evals} evals")
-
-    obj = DesignObjective(problem, target, oracle=oracle)
     bo_res = bayesian_optimization(
-        lambda x: obj(int(round(x[0])), int(round(x[1]))),
+        lambda x: float(oracle.cost_at(target.reshape(1, 4),
+                                       [int(round(x[0]))],
+                                       [int(round(x[1]))])[0]),
         np.array([[0, space.n_pe - 1], [0, space.n_l2 - 1]], dtype=float),
         rng, BOConfig(init_points=8, iterations=40))
     record("GP-BO (raw space)", bo_res.cost, f"{len(bo_res.history)} evals")

@@ -5,8 +5,7 @@ The workload the paper's intro motivates: an engineer must pick one
 (PE count, L2 buffer) configuration to serve a *new* model that was never
 in the training set.  This script trains AIRCHITECT v2 on the 105-model
 zoo dataset, then deploys it for Llama2-7B prefill using both paper
-methods, comparing against the exhaustive deployment oracle and a
-search-based alternative (GAMMA).
+methods, comparing against the exhaustive deployment oracle.
 
 Run:  python examples/deploy_llm_accelerator.py  (~3-4 minutes)
 """
@@ -19,7 +18,6 @@ from repro.core import (AirchitectV2, DeploymentEvaluator, ModelConfig,
                         Stage1Config, Stage1Trainer, Stage2Config,
                         Stage2Trainer)
 from repro.dse import DSEProblem, generate_workload_dataset
-from repro.search import DesignObjective, GammaConfig, gamma_search
 from repro.workloads import all_training_layers, llama
 
 
@@ -63,17 +61,6 @@ def main() -> None:
     print(f"   Method 1 vs oracle gap       : "
           f"{100 * (m1.total_latency / oracle.total_latency - 1):.1f}%")
 
-    print("== 5. Search-based alternative: GAMMA on the dominant layer")
-    weights = [l.macs * c for l, c in zip(workload.layers, workload.counts)]
-    dominant = tuples[int(np.argmax(weights))]
-    objective = DesignObjective(problem, dominant)
-    result = gamma_search(objective, rng, GammaConfig(population=16,
-                                                      generations=10))
-    pes = int(space.pe_choices[result.pe_idx])
-    l2 = int(space.l2_choices[result.l2_idx])
-    ga_latency = evaluator.model_latency(workload, pes, l2)
-    print(f"   GAMMA ({result.n_evals} cost-model evals) : {pes:4d} PEs "
-          f"{l2:6d} KB -> {ga_latency:,.0f} cycles")
     print(f"   One-shot v2 needed {len(tuples)} forward passes — "
           "no search loop at deployment time.")
 

@@ -2,10 +2,10 @@
 
 Learning the hardware accelerator design space through unified
 representations: an encoder-decoder transformer with contrastive stage-1
-training and Unified-Ordinal-Vector output heads, plus every substrate the
-paper depends on (MAESTRO-style cost model, Scale-Sim systolic model,
-ConfuciuX/GAMMA/BO search, GANDSE/VAESA/AIRCHITECT-v1 baselines, a
-105-model workload zoo) — all in numpy.  scipy serves BO
+training and Unified-Ordinal-Vector output heads, plus the substrates its
+artefacts run on (MAESTRO-style cost model, an exhaustive design-space
+oracle that labels the dataset, GP-based BO, GANDSE/VAESA/AIRCHITECT-v1
+baselines, a 105-model workload zoo) — all in numpy.  scipy serves BO
 (:mod:`repro.search.bo`) only and loads on the first GP fit, so importing
 the package, serving and the paper pipeline never import it.
 
@@ -30,8 +30,8 @@ experiment runners.
 __version__ = "1.0.0"
 
 from . import analysis, baselines, core, dse, faults, maestro, nn, registry
-from . import scalesim, search, train, uov, workloads
+from . import search, train, uov, workloads
 
 __all__ = ["analysis", "baselines", "core", "dse", "faults", "maestro", "nn",
-           "registry", "scalesim", "search", "train", "uov", "workloads",
+           "registry", "search", "train", "uov", "workloads",
            "__version__"]

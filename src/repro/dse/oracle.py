@@ -4,9 +4,7 @@ The paper labels its dataset by running ConfuciuX (RL + GA search) per
 sample.  Because the Table-I output space has only 64 x 12 = 768 points and
 our cost model is vectorised, the *exact* optimum is cheaper to compute
 than an RL approximation — so dataset labels here come from brute
-force.  ConfuciuX itself is
-implemented in :mod:`repro.search.confuciux` and validated against this
-oracle.
+force, and no searcher is needed to approximate them.
 
 Tie-breaking: the label is the *cheapest* configuration (lexicographically
 smallest PE then buffer choice) whose cost is within ``tolerance`` of the

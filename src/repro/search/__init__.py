@@ -1,22 +1,14 @@
-"""``repro.search`` — search-based DSE baselines (§V of the paper).
+"""``repro.search`` — GP-based Bayesian optimisation.
 
-Random/exhaustive anchors, the GAMMA genetic algorithm [13], ConfuciuX's
-RL + GA two-phase search [12] (the paper's dataset labeller), and GP-based
-Bayesian optimisation (used standalone and inside VAESA+BO / contrastive+BO).
+BO serves the paper's Fig. 8(a) study (contrastive + BO) and the VAESA+BO
+baseline; dataset labels come from the exhaustive oracle
+(:mod:`repro.dse.oracle`), not from a searcher.
 """
 
-from .base import DesignObjective, SearchResult
 from .bo import (BOConfig, BOResult, GaussianProcess, bayesian_optimization,
                  expected_improvement)
-from .confuciux import ConfuciuXConfig, confuciux_search
-from .gamma import GammaConfig, gamma_search
-from .random_search import exhaustive_search, random_search
 
 __all__ = [
-    "DesignObjective", "SearchResult",
     "BOConfig", "BOResult", "GaussianProcess", "bayesian_optimization",
     "expected_improvement",
-    "ConfuciuXConfig", "confuciux_search",
-    "GammaConfig", "gamma_search",
-    "random_search", "exhaustive_search",
 ]

@@ -1,111 +1,12 @@
-"""Search-based DSE methods: objective accounting, GA/RL/BO behaviour."""
+"""Bayesian optimisation: GP surrogate, EI acquisition and the BO loop."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.search import (BOConfig, ConfuciuXConfig, DesignObjective,
-                          GammaConfig, GaussianProcess, bayesian_optimization,
-                          confuciux_search, exhaustive_search,
-                          expected_improvement, gamma_search, random_search)
-
-
-@pytest.fixture
-def objective(problem, oracle):
-    return DesignObjective(problem, [64, 512, 256, 1], oracle=oracle)
-
-
-class TestDesignObjective:
-    def test_counts_evaluations(self, objective):
-        objective(0, 0)
-        objective(5, 5)
-        assert objective.n_evals == 2
-        assert len(objective.history) == 2
-
-    def test_history_is_best_so_far(self, objective):
-        costs = [objective(pe, l2) for pe, l2 in [(0, 0), (30, 6), (63, 11)]]
-        assert objective.history == list(np.minimum.accumulate(costs))
-
-    def test_clips_out_of_range(self, objective):
-        cost = objective(10 ** 6, -5)
-        assert np.isfinite(cost)
-
-    def test_result_matches_best(self, objective):
-        objective(0, 0)
-        objective(32, 6)
-        result = objective.result()
-        assert result.best_cost == min(objective.history)
-        assert result.n_evals == 2
-
-
-class TestRandomAndExhaustive:
-    def test_exhaustive_finds_true_optimum(self, problem, oracle):
-        obj = DesignObjective(problem, [64, 512, 256, 1], oracle=oracle)
-        result = exhaustive_search(obj)
-        assert result.n_evals == 768
-        truth = oracle.solve(np.array([[64, 512, 256, 1]]))
-        # The exhaustive sweep's minimum can't exceed the labelled cost.
-        assert result.best_cost <= float(truth.best_cost[0]) + 1e-9
-
-    def test_random_search_respects_budget(self, problem, oracle, rng):
-        obj = DesignObjective(problem, [64, 512, 256, 1], oracle=oracle)
-        result = random_search(obj, 50, rng)
-        assert result.n_evals == 50
-
-    def test_more_budget_no_worse(self, problem, oracle):
-        costs = []
-        for budget in (10, 200):
-            obj = DesignObjective(problem, [64, 512, 256, 0], oracle=oracle)
-            rng = np.random.default_rng(5)
-            costs.append(random_search(obj, budget, rng).best_cost)
-        assert costs[1] <= costs[0]
-
-
-class TestGamma:
-    def test_beats_random_at_equal_budget(self, problem, oracle):
-        """GA should usually beat pure random sampling at matched budgets."""
-        wins = 0
-        for seed in range(5):
-            inp = [32 * (seed + 1), 200 + 100 * seed, 300, seed % 3]
-            ga_obj = DesignObjective(problem, inp, oracle=oracle)
-            ga = gamma_search(ga_obj, np.random.default_rng(seed),
-                              GammaConfig(population=12, generations=8))
-            rnd_obj = DesignObjective(problem, inp, oracle=oracle)
-            rnd = random_search(rnd_obj, ga.n_evals,
-                                np.random.default_rng(seed))
-            wins += ga.best_cost <= rnd.best_cost
-        assert wins >= 3
-
-    def test_seed_population_used(self, problem, oracle):
-        """Seeding the GA at the optimum keeps it there (elitism)."""
-        inp = [64, 512, 256, 1]
-        truth = oracle.solve(np.array([inp]))
-        obj = DesignObjective(problem, inp, oracle=oracle)
-        result = gamma_search(obj, np.random.default_rng(0),
-                              GammaConfig(population=8, generations=3),
-                              seed_population=[(int(truth.pe_idx[0]),
-                                                int(truth.l2_idx[0]))])
-        assert result.best_cost <= float(truth.best_cost[0]) + 1e-9
-
-
-class TestConfuciuX:
-    def test_two_phase_runs_and_improves(self, problem, oracle):
-        obj = DesignObjective(problem, [100, 800, 400, 0], oracle=oracle)
-        result = confuciux_search(obj, np.random.default_rng(0),
-                                  ConfuciuXConfig(episodes=24,
-                                                  batch_episodes=8))
-        assert result.n_evals > 24  # RL phase + GA phase
-        assert result.history[-1] <= result.history[0]
-
-    def test_near_oracle_on_easy_workload(self, problem, oracle):
-        """ConfuciuX (the paper's labeller) should land within a small
-        factor of the exhaustive optimum."""
-        inp = [64, 512, 256, 1]
-        obj = DesignObjective(problem, inp, oracle=oracle)
-        result = confuciux_search(obj, np.random.default_rng(1))
-        optimum = obj.true_optimum()
-        assert result.best_cost <= optimum * 1.25
+from repro.search import (BOConfig, GaussianProcess, bayesian_optimization,
+                          expected_improvement)
 
 
 class TestGaussianProcess:
