@@ -32,6 +32,10 @@ or under pytest (the test is marked ``slow``)::
 only asserts the fused path wins at all on steady-state epochs (each
 fit's 3 warm-up epochs are left out) — the CI guard against perf
 regressions sneaking into releases.
+
+Each mode also records ``<mode>_peak_traced_mb``: the tracemalloc peak
+of one extra, untimed fit.  Every run (smoke or full) fails unless the
+fused fit peaks below the reference's.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ import socket
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -108,6 +113,17 @@ def _fit(problem, dataset, model_config, stage2_config, fused: bool):
         return total, [e["seconds"] for e in monitor.epochs], history
 
 
+def _peak_traced_mb(problem, dataset, model_config, stage2_config,
+                    fused: bool) -> float:
+    """Peak traced (numpy and Python) memory of one untimed fit, in MB."""
+    tracemalloc.start()
+    try:
+        _fit(problem, dataset, model_config, stage2_config, fused)
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
 def run_bench(samples: int = SAMPLES_DEFAULT, epochs: int = EPOCHS_DEFAULT,
               rounds: int = ROUNDS_DEFAULT, seed: int = 7,
               model_config: ModelConfig | None = None,
@@ -160,11 +176,14 @@ def run_bench(samples: int = SAMPLES_DEFAULT, epochs: int = EPOCHS_DEFAULT,
                   histories["fused"]["loss"], histories["reference"]["loss"],
                   rtol=HISTORY_RTOL, atol=0.0)),
               "speedup_target": SPEEDUP_TARGET}
-    for mode in MODES:
+    for mode, fused in MODES.items():
         result[f"{mode}_fit_s"] = totals[mode]
         result[f"{mode}_best_epoch_s"] = min(epoch_times[mode])
         result[f"{mode}_step_ms"] = 1000.0 * step[mode]
         result[f"{mode}_steps_per_sec"] = 1.0 / max(step[mode], 1e-12)
+        # Kept out of the timed fits: tracing slows every allocation.
+        result[f"{mode}_peak_traced_mb"] = _peak_traced_mb(
+            problem, dataset, model_config, stage2, fused)
     return result
 
 
@@ -230,6 +249,12 @@ def main(argv: list[str] | None = None) -> int:
     if result["speedup"] < result["speedup_target"]:
         print(f"FAIL: speedup {result['speedup']:.2f}x < "
               f"{result['speedup_target']:.1f}x target", file=sys.stderr)
+        failed = True
+    if result["fused_peak_traced_mb"] >= result["reference_peak_traced_mb"]:
+        print(f"FAIL: fused fit peaks at {result['fused_peak_traced_mb']:.1f}"
+              f" MB traced, not below the reference's "
+              f"{result['reference_peak_traced_mb']:.1f} MB",
+              file=sys.stderr)
         failed = True
     return 1 if failed else 0
 

@@ -47,11 +47,15 @@ def _rows_dataset_gen(doc: dict) -> list[tuple[str, str, str, str]]:
 
 
 def _rows_train_step(doc: dict) -> list[tuple[str, str, str, str]]:
+    memory = ""
+    if "fused_peak_traced_mb" in doc:
+        memory = (f"; peak traced {_fmt(doc['fused_peak_traced_mb'], 1)}MB "
+                  f"vs {_fmt(doc['reference_peak_traced_mb'], 1)}MB")
     return [(
         "train_step",
         f"{_fmt(doc['speedup'])}x fused step speedup "
         f"({_fmt(doc['fused_step_ms'])}ms vs "
-        f"{_fmt(doc['reference_step_ms'])}ms)",
+        f"{_fmt(doc['reference_step_ms'])}ms{memory})",
         f">= {_fmt(doc['speedup_target'], 1)}x, history within "
         f"rtol={doc['history_rtol']:g}",
         _gate(doc["speedup"] >= doc["speedup_target"]

@@ -2,7 +2,7 @@
 
 :func:`bench_serving.tracing_overhead` must fail a real 5% slowdown of
 traced requests and pass pure noise, including drift between rounds and
-one disturbed round, against the smoke's 3% gate over 8 rounds of 48
+one disturbed round, against the smoke's 3% gate over 8 rounds of 192
 requests a side.
 """
 
@@ -13,7 +13,7 @@ import pytest
 from bench_serving import OBS_OVERHEAD_LIMIT, tracing_overhead
 
 ROUNDS = 8
-PER_SIDE = 48
+PER_SIDE = 192
 
 
 def _rounds(seed: int, traced_scale: float, disturbed: float = 1.0):

@@ -33,6 +33,12 @@ Training runs on a three-part contract (asserted in
   1e-15 relative; a trained model's accuracy and regret match the
   composed reference's.
 
+Memory: each kernel's backward closure saves only the arrays it reads.
+:meth:`Tensor.backward` drops a node's closure once it has fired, so
+what a closure saves is freed then; anything saved but recomputable
+from a smaller saved array (GELU's ``x * x`` and ``tanh + 1``) is
+recomputed in backward by the same expression, so the bits match.
+
 Callers look kernels up at call time (``fused.linear(...)``, never
 ``from .fused import linear``), so the test oracle and the benchmark's
 tracing wrappers can replace them on this module.
@@ -124,17 +130,17 @@ def gelu(x: Tensor) -> Tensor:
         np.multiply(xd, out, out=out)
         np.multiply(out, 0.5, out=out)
         return Tensor._make(out, (x,), None)
-    x2 = xd * xd
-    t = np.tanh((xd + (x2 * xd) * 0.044715) * _GELU_C)
-    tp = t + 1.0
-    out = xd * tp
+    # Backward keeps only ``t``; ``xd * xd`` and ``t + 1.0`` are
+    # recomputed there by the same expressions, so the bits match.
+    t = np.tanh((xd + ((xd * xd) * xd) * 0.044715) * _GELU_C)
+    out = xd * (t + 1.0)
     np.multiply(out, 0.5, out=out)
 
     def backward(grad: np.ndarray) -> None:
         if not x.requires_grad:
             return
         gp = grad * 0.5
-        x._accumulate_owned(gp * tp)                 # from x * (tanh + 1)
+        x._accumulate_owned(gp * (t + 1.0))          # from x * (tanh + 1)
         gs = gp
         np.multiply(gs, xd, out=gs)                  # gp is dead: reuse
         np.multiply(gs, 1.0 - t ** 2, out=gs)
@@ -142,7 +148,7 @@ def gelu(x: Tensor) -> Tensor:
         x._accumulate_owned(gs.copy())               # from x + 0.044715 x^3
         gx3 = gs
         np.multiply(gx3, 0.044715, out=gx3)
-        x._accumulate_owned(gx3 * x2)                # from x^2 * x
+        x._accumulate_owned(gx3 * (xd * xd))         # from x^2 * x
         gq = gx3
         np.multiply(gq, xd, out=gq)
         np.multiply(gq, xd, out=gq)
@@ -169,8 +175,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
         np.add(out, beta.data, out=out)
         return Tensor._make(out, (x, gamma, beta), None)
     centred = xd - mean
-    sq = centred * centred
-    var = sq.sum(axis=-1, keepdims=True) * inv
+    var = (centred * centred).sum(axis=-1, keepdims=True) * inv
     sd = np.sqrt(var + eps)
     normed = centred / sd
     out = normed * gd
@@ -184,7 +189,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
             gamma._accumulate_owned(_unbroadcast(grad * normed, gd.shape))
         gc = gn / sd
         gsd = _unbroadcast(-gn * centred / (sd ** 2), sd.shape)
-        gsq = np.broadcast_to((gsd * 0.5 / sd) * inv, sq.shape)
+        gsq = np.broadcast_to((gsd * 0.5 / sd) * inv, xd.shape)
         gc = gc + gsq * centred
         gc = gc + gsq * centred
         if x.requires_grad:

@@ -10,7 +10,8 @@ Design notes
 ------------
 * Gradients are accumulated into ``Tensor.grad`` (a plain ``numpy.ndarray``)
   by :meth:`Tensor.backward`, which walks the recorded computation graph in
-  reverse topological order.
+  reverse topological order and frees each node's gradient, closure and
+  parent links once it has fired (a graph backpropagates once).
 * The DFS post-order used by ``backward`` is deterministic: it fixes the
   arrival order of gradient contributions into shared tensors, so a given
   execution path produces the same gradient bits run to run (the
@@ -98,6 +99,11 @@ def _as_array(data, dtype=None) -> np.ndarray:
     if arr.dtype.kind in "iub":  # promote integers/bools to float for autograd
         arr = arr.astype(np.float64)
     return arr
+
+
+def _spent(grad: np.ndarray) -> None:
+    """Closure of a node whose graph has already been backpropagated."""
+    raise RuntimeError("graph already backpropagated; run the forward again")
 
 
 class Tensor:
@@ -228,6 +234,18 @@ class Tensor:
     def backward(self, gradient: np.ndarray | float | None = None) -> None:
         """Backpropagate from this tensor through the recorded graph.
 
+        The pass consumes the graph as it walks it.  Each node is popped
+        off the reverse topological order, its closure runs, and then its
+        ``grad``, closure and parent links are dropped, so its gradient,
+        the arrays its closure saved and (once the caller holds no
+        reference) its output are freed as soon as nothing downstream
+        needs them.  Peak memory therefore tracks the forward activations
+        still awaiting their backward, not the whole graph.  Leaves keep
+        their gradients.  A consumed node's closure raises
+        ``RuntimeError``, so backpropagating through the same graph twice
+        fails loudly rather than silently skipping the leaves; run the
+        forward again instead.
+
         Parameters
         ----------
         gradient:
@@ -267,9 +285,13 @@ class Tensor:
                     stack.append((parent, False))
 
         self._accumulate(gradient)
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             if node.grad is not None:
                 node._backward(node.grad)
+            node.grad = None
+            node._backward = _spent
+            node._parents = ()
 
     # ------------------------------------------------------------------
     # Arithmetic

@@ -267,6 +267,18 @@ class TestGraphMechanics:
         (x * 3.0).backward()
         np.testing.assert_allclose(x.grad, [5.0])
 
+    def test_backward_twice_on_one_graph_raises(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        loss = (x.exp() * 2.0).sum()
+        loss.backward()
+        with pytest.raises(RuntimeError, match="already backpropagated"):
+            loss.backward()
+        # A consumed intermediate also refuses a new root built on it.
+        y = x * 3.0
+        y.sum().backward()
+        with pytest.raises(RuntimeError, match="already backpropagated"):
+            (y * 2.0).sum().backward()
+
     def test_zero_grad(self):
         x = Tensor([1.0], requires_grad=True)
         (x * 2.0).backward()
